@@ -105,14 +105,20 @@ def expectation(rho: np.ndarray, obs: PauliObservable) -> float:
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Transpose on the second tensor factor (rho^Gamma2)."""
-    return np.asarray(rho).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    """Transpose on the second tensor factor (rho^Gamma2) of one state or of
+    a stack of shape (..., 4, 4)."""
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]
+    return rho.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
 
-def negativity(rho: np.ndarray) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose."""
+def negativity(rho: np.ndarray):
+    """Sum of |negative eigenvalues| of the partial transpose: a float for
+    one state, an array for a stack of shape (..., 4, 4). States with a
+    positive partial transpose give +0.0."""
     ev = np.linalg.eigvalsh(partial_transpose(rho))
-    return float(-ev[ev < 0].sum())
+    neg = np.where(ev < 0, -ev, 0.0).sum(axis=-1)
+    return float(neg) if neg.ndim == 0 else neg
 
 
 def purity(rho: np.ndarray) -> float:

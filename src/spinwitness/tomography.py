@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ScenarioParams, spin_state
-from .qstate import eigenbasis
+from .qstate import eigenbasis, negativity
 from .stats import (DataVector, SuccessRateReport, distinction_success_rate,
                     outcome_probabilities, trial_rng)
 from .witnesses import optimal_fall_time, w1
@@ -138,12 +138,6 @@ def _mle_batch(counts: np.ndarray, setup: TomographySetup, iterations: int) -> n
     return rho
 
 
-def _negativity_batch(rho: np.ndarray) -> np.ndarray:
-    pt = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    ev = np.linalg.eigvalsh(pt)
-    return np.where(ev < 0, -ev, 0.0).sum(axis=1)
-
-
 def _fidelity_batch(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
@@ -188,8 +182,8 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
     pv_0 = outcome_probabilities(rho_0, setup.observables)
     counts_a = _sample_tomo_counts(pv_a, N, seed, _TAG_TOMO_ALT, trials)
     counts_0 = _sample_tomo_counts(pv_0, N, seed, _TAG_TOMO_NULL, trials)
-    neg_a = _negativity_batch(_mle_batch(counts_a, setup, cfg.iterations))
-    neg_0 = _negativity_batch(_mle_batch(counts_0, setup, cfg.iterations))
+    neg_a = negativity(_mle_batch(counts_a, setup, cfg.iterations))
+    neg_0 = negativity(_mle_batch(counts_0, setup, cfg.iterations))
     threshold = np.sort(neg_0)[int(np.ceil(0.99 * trials)) - 1]
     return float(np.mean(neg_a > threshold))
 
@@ -213,7 +207,7 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     tag = _TAG_FID if hypothesis == "alt" else _TAG_FID + 1
     counts = _sample_tomo_counts(pv, N, seed, tag, trials)
     rec = _mle_batch(counts, setup, cfg.iterations)
-    return _negativity_batch(rec), _fidelity_batch(rec, rho)
+    return negativity(rec), _fidelity_batch(rec, rho)
 
 
 def write_batch_csv(path, shots: int, hypothesis: str, negativities, fidelities) -> None:

@@ -42,9 +42,9 @@ GOLDEN = {
     },
     "scan-witness": {
         "negativity_gamma0.03.csv":
-            "d9dbf385b270be32db1dd6d141c855903bc166184a85ed64bf4b9b977879c411",
+            "98818ccceb629c1c14da48332add881542dffb2e51f436f4a341a6b7ab824add",
         "negativity_gamma0.3.csv":
-            "05c0db5d76a91a4191b04393d731ebe06ffea4fac49e39442b6de00cf8ba2da2",
+            "d031032a8480d07ff0d41042c3bc4d27c3650d8ecca78bddf490bef432b90c65",
         "negativity_gamma0.csv":
             "ee269a89e56508dc376bd56205dbb6c7e8c253f79621944aaf948fb8db00222f",
         "witness_w0_gamma0.03.csv":

@@ -128,6 +128,25 @@ class TestNegativity:
             rho = random_state(rng, rank=int(rng.integers(1, 5)))
             assert negativity(rho) == pytest.approx(oracle_negativity(rho), abs=1e-9)
 
+    def test_ppt_state_gives_positive_zero(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0  # |00><00|
+        value = negativity(rho)
+        assert isinstance(value, float)
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+    def test_stack_equals_loop_over_states(self, rng):
+        stack = np.array([[random_state(rng, rank=r) for r in (1, 2, 3, 4)]
+                          for _ in range(3)] + [[np.eye(4) / 4] * 4])
+        values = negativity(stack)
+        assert values.shape == (4, 4)
+        loop = np.array([[negativity(rho) for rho in row] for row in stack])
+        assert np.array_equal(values, loop)
+        assert not np.signbit(values).any()
+        assert np.array_equal(partial_transpose(stack),
+                              [[partial_transpose(rho) for rho in row]
+                               for row in stack])
+
 
 class TestFidelity:
     def test_self_fidelity(self, rng):
