@@ -19,6 +19,7 @@ smaller and matches nothing).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -97,6 +98,10 @@ class ScenarioParams:
         self.validate()
 
     def validate(self) -> None:
+        for name in self._REAL_FIELDS:
+            # NaN would slip through the range checks below
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("mass", "separation_d", "trap_omega", "sphere_radius_R"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -116,6 +121,7 @@ class ScenarioParams:
     _JSON_FIELDS = ("mass", "separation_d", "half_split_delta", "trap_omega",
                     "mean_occupation_nbar", "dephasing_gamma", "sphere_radius_R",
                     "permittivity_eps", "gravity_on", "cp_scale")
+    _REAL_FIELDS = tuple(f for f in _JSON_FIELDS if f != "gravity_on")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioParams":

@@ -151,6 +151,21 @@ class TestErrors:
         cfg = write_config(tmp_path, {"scenario": {"dephasing_gamma": -1.0}})
         assert run(["pea", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("name", ["half_split_delta", "dephasing_gamma",
+                                      "cp_scale", "mean_occupation_nbar",
+                                      "permittivity_eps"])
+    def test_nan_scenario_field_exits_2(self, tmp_path, capsys, name):
+        # Python's json parses the NaN literal
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"scenario": {"%s": NaN}}' % name)
+        assert run(["pea", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    def test_infinite_separation_exits_2(self, tmp_path):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text('{"scenario": {"separation_d": Infinity}}')
+        assert run(["pea", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
     def test_unknown_config_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"nonsense": {}})
         assert run(["pea", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

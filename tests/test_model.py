@@ -35,6 +35,15 @@ class TestScenarioParams:
         with pytest.raises(ValueError):
             ScenarioParams(mass=0.0)
 
+    @pytest.mark.parametrize("name", [
+        "mass", "separation_d", "half_split_delta", "trap_omega",
+        "mean_occupation_nbar", "dephasing_gamma", "sphere_radius_R",
+        "permittivity_eps", "cp_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ScenarioParams(**{name: value})
+
     def test_from_dict_defaults_and_unknown(self):
         p = ScenarioParams.from_dict({"separation_d": 350e-6})
         assert p.separation_d == 350e-6
