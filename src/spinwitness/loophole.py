@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .qstate import (CholeskyAngles, check_density_matrix, cholesky_to_state,
-                     eigenbasis, negativity, state_to_cholesky_angles)
+from .qstate import (check_density_matrix, cholesky_to_state, eigenbasis,
+                     negativity, state_to_cholesky_angles)
 from .stats import DataVector, trial_rng
 from .tomography import MLEConfig, mle_reconstruct
 from .witnesses import W1_OBSERVABLES
@@ -59,13 +59,15 @@ class OptimizationConfig:
 
 @dataclass(frozen=True)
 class LoopholeResult:
-    """Best feasible state found: its fit to the data and its entanglement."""
+    """Best feasible state found: its fit to the data and its entanglement,
+    plus ``(restart index, repr(exception))`` for each restart that raised."""
 
     state: np.ndarray
     nll: float
     negativity: float
     constraint_satisfied: bool
     nll_reference: float
+    restart_errors: tuple = ()
 
 
 class InfeasibleSearchError(RuntimeError):
@@ -76,29 +78,33 @@ def _projector_stack(observables) -> np.ndarray:
     return np.concatenate([eigenbasis(obs).projectors for obs in observables])
 
 
-def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables) -> float:
-    """-sum n_i log Tr(rho P_i); +inf when a counted outcome has zero
-    probability (an infinitely bad fit the optimizer can move away from)."""
-    projs = _projector_stack(observables)
-    probs = np.real(np.einsum("pij,ji->p", projs, rho))
-    counts = n.flat.astype(float)
+def _neg_log_likelihood(rho: np.ndarray, counts: np.ndarray, projs: np.ndarray):
+    """-sum n_i log Tr(rho P_i) for one state (a float) or a stack (an array).
+    One einsum per projector, into contiguous rows: a single "pij,bji->bp"
+    einsum or sums over strided rows round differently in the last bit."""
+    stack = np.asarray(rho).reshape(-1, 4, 4)
     active = counts > 0
-    if np.any(probs[active] <= 0.0):
-        return math.inf
-    return float(-np.sum(counts[active] * np.log(probs[active])))
+    probs = np.empty((len(stack), np.count_nonzero(active)))
+    for p, proj in enumerate(projs[active]):
+        probs[:, p] = np.real(np.einsum("ij,bji->b", proj, stack))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nll = -np.sum(counts[active] * np.log(probs), axis=-1)
+    nll[np.any(probs <= 0.0, axis=-1)] = math.inf
+    return float(nll[0]) if np.ndim(rho) == 2 else nll.reshape(np.shape(rho)[:-2])
 
 
-def neg_log_likelihood(angles: CholeskyAngles, n: DataVector, observables) -> float:
+def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
+    """-sum n_i log Tr(rho P_i); +inf when a counted outcome has zero
+    probability (an infinitely bad fit the optimizer can move away from).
+    A float for one state, an array for a stack of shape (..., 4, 4)."""
+    return _neg_log_likelihood(rho, n.flat.astype(float),
+                               _projector_stack(observables))
+
+
+def neg_log_likelihood(angles, n: DataVector, observables):
+    """:func:`state_neg_log_likelihood` of the state(s) at Cholesky angles
+    (a :class:`CholeskyAngles` or an array of shape (..., 15))."""
     return state_neg_log_likelihood(cholesky_to_state(angles), n, observables)
-
-
-def _central_grad(fun, x: np.ndarray, h: float) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (fun(x + step) - fun(x - step)) / (2 * h)
-    return grad
 
 
 class _WitnessSetup:
@@ -107,6 +113,64 @@ class _WitnessSetup:
     def __init__(self, observables, projectors):
         self.observables = observables
         self.projectors = projectors
+
+
+class _Search:
+    """SLSQP callbacks of one search (NLL objective, negativity constraint,
+    central-difference Jacobians) and the incumbent: the best feasible point
+    over every state evaluated. SLSQP asks for the objective and constraint,
+    and for both Jacobians, at the same x (updated in place, so keyed by its
+    bytes): the state at x and the stack of its probe states are built once."""
+
+    def __init__(self, counts: np.ndarray, projs: np.ndarray, neg_cap: float,
+                 h: float):
+        self.counts, self.projs, self.neg_cap, self.h = counts, projs, neg_cap, h
+        self.best: tuple | None = None  # (nll, negativity, angles)
+        self._cache = [(None, None), (None, None)]  # [probes] -> (key, value)
+
+    def _at(self, x: np.ndarray, probes: bool):
+        """(angles, NLL, negativity) at x, or with ``probes`` the stack of
+        probes x + h e_0, x - h e_0, x + h e_1, ... with arrays of both."""
+        key = x.tobytes()
+        if self._cache[probes][0] != key:
+            points = np.frombuffer(key)
+            if probes:
+                steps = self.h * np.eye(x.size)
+                points = np.empty((2 * x.size, x.size))
+                points[0::2], points[1::2] = x + steps, x - steps
+            rho = cholesky_to_state(points)
+            nll = _neg_log_likelihood(rho, self.counts, self.projs)
+            self._cache[probes] = key, (points, nll, negativity(rho))
+        return self._cache[probes][1]
+
+    def consider(self, x: np.ndarray, fx: float, neg: float) -> None:
+        gap = self.neg_cap - neg
+        if gap < -1e-9 or not np.isfinite(fx):
+            return
+        ng = self.neg_cap - gap
+        best = self.best
+        if best is None or fx < best[0] - 1e-12 or \
+                (abs(fx - best[0]) <= 1e-12 and ng < best[1]):
+            self.best = (float(fx), float(ng), x.copy())
+
+    def objective(self, x: np.ndarray) -> float:
+        _, fx, neg = self._at(x, False)
+        self.consider(x, fx, neg)
+        return fx if np.isfinite(fx) else 1e300
+
+    def constraint(self, x: np.ndarray) -> float:
+        return self.neg_cap - self._at(x, False)[2]
+
+    def objective_jac(self, x: np.ndarray) -> np.ndarray:
+        probes, fx, neg = self._at(x, True)
+        for k in range(len(probes)):  # offered to the incumbent in probe order
+            self.consider(probes[k], fx[k], neg[k])
+        f = np.where(np.isfinite(fx), fx, 1e300)
+        return (f[0::2] - f[1::2]) / (2 * self.h)
+
+    def constraint_jac(self, x: np.ndarray) -> np.ndarray:
+        c = self.neg_cap - self._at(x, True)[2]
+        return (c[0::2] - c[1::2]) / (2 * self.h)
 
 
 def find_loophole_state(n: DataVector, rho_null: np.ndarray,
@@ -119,47 +183,13 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
     Multi-start: the fixed-point MLE of the data seeds the first restart, the
     rest start from uniform random angles. The incumbent is the best feasible
     point over every evaluation, so accepted improvements are monotone. Ties
-    in likelihood break toward lower negativity.
+    in likelihood break toward lower negativity. A restart whose SLSQP run
+    raises is recorded in ``restart_errors``.
     """
     projs = _projector_stack(observables)
-    counts = n.flat.astype(float)
     neg_cap = negativity(rho_null) - cfg.constraint_margin
+    search = _Search(n.flat.astype(float), projs, neg_cap, cfg.gradient_step)
 
-    def nll_of(x: np.ndarray) -> float:
-        rho = cholesky_to_state(CholeskyAngles.from_vector(x))
-        probs = np.real(np.einsum("pij,ji->p", projs, rho))
-        active = counts > 0
-        if np.any(probs[active] <= 0.0):
-            return math.inf
-        return float(-np.sum(counts[active] * np.log(probs[active])))
-
-    def neg_of(x: np.ndarray) -> float:
-        return negativity(cholesky_to_state(CholeskyAngles.from_vector(x)))
-
-    best: tuple | None = None
-
-    def consider(x: np.ndarray, fx: float | None = None):
-        nonlocal best
-        gap = neg_cap - neg_of(x)
-        if gap < -1e-9:
-            return
-        fx = nll_of(x) if fx is None else fx
-        if not np.isfinite(fx):
-            return
-        ng = neg_cap - gap
-        if best is None or fx < best[0] - 1e-12 or \
-                (abs(fx - best[0]) <= 1e-12 and ng < best[1]):
-            best = (fx, ng, x.copy())
-
-    def objective(x: np.ndarray) -> float:
-        fx = nll_of(x)
-        consider(x, fx)
-        return fx if np.isfinite(fx) else 1e300
-
-    def constraint(x: np.ndarray) -> float:
-        return neg_cap - neg_of(x)
-
-    h = cfg.gradient_step
     mle_state = mle_reconstruct(n, _WitnessSetup(tuple(observables), projs),
                                 MLEConfig(100))
     starts = [state_to_cholesky_angles(mle_state).as_vector()]
@@ -167,29 +197,31 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
         rng = trial_rng(seed, (_TAG_RESTART,), r)
         starts.append(rng.uniform(0.0, np.pi, 15))
 
-    for x0 in starts:
-        consider(x0)
+    errors = []
+    for r, x0 in enumerate(starts):
+        search.objective(x0)
         try:
-            minimize(objective, x0, method="SLSQP",
-                     jac=lambda x: _central_grad(objective, x, h),
-                     constraints=[{"type": "ineq", "fun": constraint,
-                                   "jac": lambda x: _central_grad(constraint, x, h)}],
+            minimize(search.objective, x0, method="SLSQP",
+                     jac=search.objective_jac,
+                     constraints=[{"type": "ineq", "fun": search.constraint,
+                                   "jac": search.constraint_jac}],
                      options={"maxiter": cfg.max_iterations, "ftol": 1e-10})
-        except (ValueError, ZeroDivisionError):
-            continue
+        except (ValueError, ZeroDivisionError) as exc:
+            errors.append((r, repr(exc)))
 
-    if best is None:
+    if search.best is None:
         raise InfeasibleSearchError(
             f"no feasible state found in {cfg.restarts} restarts: constraint "
             f"negativity <= {neg_cap:.6g} (null {negativity(rho_null):.6g}, "
-            f"margin {cfg.constraint_margin:g})")
+            f"margin {cfg.constraint_margin:g}); {len(errors)} restarts raised")
 
     nll_ref = math.nan
     if rho_reference is not None:
         nll_ref = state_neg_log_likelihood(rho_reference, n, observables)
-    state = cholesky_to_state(CholeskyAngles.from_vector(best[2]))
-    return LoopholeResult(state=state, nll=best[0], negativity=best[1],
-                          constraint_satisfied=True, nll_reference=nll_ref)
+    nll, neg, angles = search.best
+    return LoopholeResult(state=cholesky_to_state(angles), nll=nll,
+                          negativity=neg, constraint_satisfied=True,
+                          nll_reference=nll_ref, restart_errors=tuple(errors))
 
 
 @dataclass(frozen=True)

@@ -194,27 +194,34 @@ class CholeskyAngles:
 _L_SLOTS = [(0, 0), (1, 1), (2, 2), (3, 3),
             (1, 0), (2, 1), (3, 2),
             (2, 0), (3, 1), (3, 0)]
+_L_ROWS, _L_COLS = np.array(_L_SLOTS).T
 
 
-def cholesky_factor(angles: CholeskyAngles) -> np.ndarray:
-    """Lower-triangular L with unit Frobenius norm from the angle coordinates."""
-    th, ph = angles.thetas, angles.phis
-    sines = np.concatenate(([1.0], np.cumprod(np.sin(th))))
-    mags = np.empty(10)
-    mags[:9] = sines[:9] * np.cos(th)
-    mags[9] = sines[9]
+def cholesky_to_state(angles) -> np.ndarray:
+    """L L^dagger: always Hermitian, PSD and unit trace by construction.
+
+    ``angles`` is a :class:`CholeskyAngles` or an array of shape (..., 15),
+    9 thetas then 6 phis; a stack of angle vectors gives a stack of states.
+    """
+    x = angles.as_vector() if isinstance(angles, CholeskyAngles) \
+        else np.asarray(angles, dtype=float)
+    if x.shape[-1:] != (15,):
+        raise ValueError(f"expected 9 thetas and 6 phis, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("angles must be finite")
+    lead = x.shape[:-1]
+    th, ph = x[..., :9], x[..., 9:]
+    # 9-sphere recursion: the magnitudes of the ten entries of L, unit norm
+    sines = np.concatenate((np.ones(lead + (1,)), np.cumprod(np.sin(th), axis=-1)),
+                           axis=-1)
+    mags = np.empty(lead + (10,))
+    mags[..., :9] = sines[..., :9] * np.cos(th)
+    mags[..., 9] = sines[..., 9]
     entries = mags.astype(complex)
-    entries[4:] *= np.exp(1j * ph)
-    L = np.zeros((4, 4), dtype=complex)
-    for val, (i, j) in zip(entries, _L_SLOTS):
-        L[i, j] = val
-    return L
-
-
-def cholesky_to_state(angles: CholeskyAngles) -> np.ndarray:
-    """L L^dagger: always Hermitian, PSD and unit trace by construction."""
-    L = cholesky_factor(angles)
-    return L @ L.conj().T
+    entries[..., 4:] *= np.exp(1j * ph)
+    L = np.zeros(lead + (4, 4), dtype=complex)
+    L[..., _L_ROWS, _L_COLS] = entries
+    return L @ L.conj().swapaxes(-1, -2)
 
 
 def state_to_cholesky_angles(rho: np.ndarray, floor: float = 1e-12) -> CholeskyAngles:

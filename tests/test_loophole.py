@@ -1,17 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import spinwitness.loophole as lh
 from spinwitness.loophole import (KNOWN_LOOPHOLE_STATE, InfeasibleSearchError,
                                   OptimizationConfig, find_loophole_state,
                                   neg_log_likelihood, result_to_json,
                                   state_neg_log_likelihood, verify_loophole)
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import (CholeskyAngles, check_density_matrix,
-                                cholesky_to_state, fidelity, negativity)
+                                cholesky_to_state, fidelity, negativity,
+                                partial_transpose)
 from spinwitness.stats import DataVector, simulate_measurements
-from spinwitness.tomography import mle_reconstruct, standard_setup
+from spinwitness.tomography import (TOMOGRAPHY_OBSERVABLES, mle_reconstruct,
+                                    standard_setup)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
 
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
@@ -134,6 +138,29 @@ class TestFindLoopholeState:
         with pytest.raises(InfeasibleSearchError, match="no feasible state"):
             find_loophole_state(data, RHO_0, cfg, seed=3)
 
+    def test_failed_restart_is_reported(self, monkeypatch):
+        real_minimize = lh.minimize
+        calls = []
+
+        def flaky(fun, x0, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise ValueError("angles must be finite")
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(lh, "minimize", flaky)
+        cfg = OptimizationConfig(restarts=3, max_iterations=10)
+        result = find_loophole_state(witness_data(seed=6), RHO_0, cfg, seed=6)
+        assert calls == [0, 1, 2]
+        assert result.restart_errors == (
+            (1, "ValueError('angles must be finite')"),)
+        assert "restart_errors" not in json.loads(result_to_json(result))
+
+    def test_no_restart_errors_by_default(self):
+        cfg = OptimizationConfig(restarts=2, max_iterations=10)
+        result = find_loophole_state(witness_data(seed=6), RHO_0, cfg, seed=6)
+        assert result.restart_errors == ()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizationConfig(restarts=0)
@@ -173,3 +200,106 @@ def test_result_json_round_trip():
     state = np.asarray(payload["state"]["re"]) + 1j * np.asarray(payload["state"]["im"])
     assert np.abs(state - result.state).max() < 1e-12
     assert payload["negativity"] == pytest.approx(result.negativity)
+
+
+# --- reference for the batched Jacobians: the search's gradients as they were
+# computed one probe at a time, kept as the oracle the batch must reproduce
+
+def _central_grad(fun, x: np.ndarray, h: float) -> np.ndarray:
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (fun(x + step) - fun(x - step)) / (2 * h)
+    return grad
+
+
+def _oracle(counts, projs, neg_cap, seen):
+    """Scalar objective and constraint; the objective records each x it is
+    offered, as the incumbent saw them."""
+
+    def nll_of(x):
+        rho = cholesky_to_state(CholeskyAngles.from_vector(x))
+        probs = np.real(np.einsum("pij,ji->p", projs, rho))
+        active = counts > 0
+        if np.any(probs[active] <= 0.0):
+            return math.inf
+        return float(-np.sum(counts[active] * np.log(probs[active])))
+
+    def neg_of(x):
+        rho = cholesky_to_state(CholeskyAngles.from_vector(x))
+        ev = np.linalg.eigvalsh(partial_transpose(rho))
+        return float(-ev[ev < 0].sum())
+
+    def objective(x):
+        fx = nll_of(x)
+        seen.append((x.copy(), fx, neg_of(x)))
+        return fx if np.isfinite(fx) else 1e300
+
+    def constraint(x):
+        return neg_cap - neg_of(x)
+
+    return objective, constraint
+
+
+def _jacobian_cases():
+    rng = np.random.default_rng(31)
+    bench = witness_data(seed=31000)  # the loophole benchmark's first data set
+    sparse = simulate_measurements(RHO_A, W1_OBSERVABLES, 3, seed=7)
+    tomo = simulate_measurements(RHO_A, TOMOGRAPHY_OBSERVABLES, 4, seed=8)
+    for data, obs in ((bench, W1_OBSERVABLES), (sparse, W1_OBSERVABLES),
+                      (tomo, TOMOGRAPHY_OBSERVABLES)):
+        points = [rng.uniform(0.0, np.pi, 15) for _ in range(8)]
+        points += [rng.uniform(-4.0, 4.0, 15), np.zeros(15)]
+        for x in points:
+            yield data, obs, x
+
+
+class TestBatchedJacobians:
+    @pytest.mark.parametrize("h", [1e-6, 1e-3])
+    def test_bit_identical_to_probe_by_probe(self, h):
+        neg_cap = negativity(RHO_0) - 1e-4
+        for data, obs, x in _jacobian_cases():
+            counts = data.flat.astype(float)
+            projs = lh._projector_stack(obs)
+            seen = []
+            objective, constraint = _oracle(counts, projs, neg_cap, seen)
+            search = lh._Search(counts, projs, neg_cap, h)
+            offered = []
+            consider = search.consider
+            search.consider = lambda x, fx, neg: (
+                offered.append((x.copy(), fx, neg)), consider(x, fx, neg))
+
+            assert np.array_equal(search.objective_jac(x),
+                                  _central_grad(objective, x, h))
+            assert np.array_equal(search.constraint_jac(x),
+                                  _central_grad(constraint, x, h))
+            assert search.objective(x) == objective(x)
+            assert search.constraint(x) == constraint(x)
+            assert len(offered) == len(seen) == 31
+            for (xb, fb, nb), (xo, fo, no) in zip(offered, seen):
+                assert np.array_equal(xb, xo)
+                assert fb == fo and nb == no
+
+    def test_zero_probability_probes_are_never_incumbent(self):
+        # at all-zero angles every probe but the two along the first theta
+        # is exactly |00><00|, which gives a counted ZZ outcome zero
+        # probability: an infinite NLL, never the incumbent
+        data = DataVector(np.array([[3, 5, 0, 0]], dtype=np.int64), 8)
+        projs = lh._projector_stack((("Z", "Z"),))
+        search = lh._Search(data.flat.astype(float), projs, 1.0, 1e-6)
+        grad = search.objective_jac(np.zeros(15))
+        assert np.isfinite(search.best[0])
+        assert not np.array_equal(search.best[2], np.zeros(15))
+        assert np.all(grad[1:] == 0.0)
+
+    def test_stack_nll_equals_loop(self):
+        rng = np.random.default_rng(5)
+        data = simulate_measurements(RHO_A, TOMOGRAPHY_OBSERVABLES, 2, seed=9)
+        angles = rng.uniform(0.0, np.pi, (3, 7, 15))
+        stack = neg_log_likelihood(angles, data, TOMOGRAPHY_OBSERVABLES)
+        assert stack.shape == (3, 7)
+        loop = [[neg_log_likelihood(CholeskyAngles.from_vector(a), data,
+                                    TOMOGRAPHY_OBSERVABLES) for a in row]
+                for row in angles]
+        assert np.array_equal(stack, loop)

@@ -222,6 +222,22 @@ class TestCholesky:
             CholeskyAngles(np.zeros(8), np.zeros(6))
         with pytest.raises(ValueError):
             CholeskyAngles(np.full(9, np.nan), np.zeros(6))
+        with pytest.raises(ValueError, match="9 thetas and 6 phis"):
+            cholesky_to_state(np.zeros((3, 14)))
+        bad = np.zeros((3, 15))
+        bad[1, 4] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            cholesky_to_state(bad)
+
+    def test_stack_equals_loop_over_angle_vectors(self, rng):
+        x = rng.uniform(-4, 4, (2, 30, 15))
+        stack = cholesky_to_state(x)
+        assert stack.shape == (2, 30, 4, 4)
+        for i in range(2):
+            for k in range(30):
+                one = cholesky_to_state(CholeskyAngles.from_vector(x[i, k]))
+                assert np.array_equal(stack[i, k], one)
+                assert np.array_equal(cholesky_to_state(x[i, k]), one)
 
 
 class TestValidation:
