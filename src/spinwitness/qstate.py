@@ -108,8 +108,7 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Transpose on the second tensor factor (rho^Gamma2) of one state or of
     a stack of shape (..., 4, 4)."""
     rho = np.asarray(rho)
-    lead = rho.shape[:-2]
-    return rho.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(rho.shape)
 
 
 def negativity(rho: np.ndarray):
@@ -117,7 +116,7 @@ def negativity(rho: np.ndarray):
     one state, an array for a stack of shape (..., 4, 4). States with a
     positive partial transpose give +0.0."""
     ev = np.linalg.eigvalsh(partial_transpose(rho))
-    neg = np.where(ev < 0, -ev, 0.0).sum(axis=-1)
+    neg = 0.0 - np.minimum(ev, 0.0).sum(axis=-1)  # 0.0 - (-0.0) is +0.0
     return float(neg) if neg.ndim == 0 else neg
 
 
