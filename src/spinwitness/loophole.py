@@ -199,7 +199,7 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
 
     errors = []
     for r, x0 in enumerate(starts):
-        search.objective(x0)
+        search.objective(x0)  # offers x0 to the incumbent
         try:
             minimize(search.objective, x0, method="SLSQP",
                      jac=search.objective_jac,

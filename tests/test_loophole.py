@@ -156,11 +156,6 @@ class TestFindLoopholeState:
             (1, "ValueError('angles must be finite')"),)
         assert "restart_errors" not in json.loads(result_to_json(result))
 
-    def test_no_restart_errors_by_default(self):
-        cfg = OptimizationConfig(restarts=2, max_iterations=10)
-        result = find_loophole_state(witness_data(seed=6), RHO_0, cfg, seed=6)
-        assert result.restart_errors == ()
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizationConfig(restarts=0)
