@@ -5,15 +5,27 @@ The scenario is the 350 um, gamma = 0.3 1/s point, where every command
 succeeds (``differential`` exits 3 at the default scenario). The digests were
 recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux; another LAPACK
 build may round differently in the last bit and need a fresh recording.
+Each command runs in a fresh process with BLAS/OpenMP pinned to one thread,
+as in the benchmark harness: SLSQP's own BLAS calls round differently with
+one thread and with two, which moves the loophole search's iterates.
 A deliberate change of an output contract refreshes the digests it moves,
 and only those.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spinwitness.cli import main
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: one thread per BLAS/OpenMP library, the settings of benchmarks/run.py
+THREAD_ENV = {name: "1" for name in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
 CONFIG = {
     "scenario": {"separation_d": 350e-6, "dephasing_gamma": 0.3},
@@ -34,7 +46,7 @@ GOLDEN = {
     },
     "loophole": {
         "loophole.json":
-            "bdc25104dc7b6f06079edd6a224b0746b0fb9c10a6814c8d105a4875f5ba1ffc",
+            "6c40ab8534e50fed4fe7ae592a8dc62d2e50409511c49301886b163970e79cf5",
     },
     "pea": {
         "pea.csv":
@@ -83,9 +95,13 @@ def run_digests(command: str, tmp_path) -> dict:
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CONFIG))
     out = tmp_path / "out"
-    code = main([command, "--config", str(cfg), "--seed", "0",
-                 "--trials", TRIALS, "--out", str(out)])
-    assert code == 0
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinwitness.cli", command, "--config", str(cfg),
+         "--seed", "0", "--trials", TRIALS, "--out", str(out)],
+        env={**os.environ, **THREAD_ENV, "PYTHONPATH": path},
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
 
