@@ -6,18 +6,17 @@ maximum-likelihood tomography, and loophole-state searches."""
 from .model import (PhysicalConstants, ScenarioParams, branch_separations,
                     characteristic_time, coupling_tensor, cp_coupling,
                     frequency_readings, pea_corrections, phase_rates, spin_state)
-from .qstate import (CholeskyAngles, check_density_matrix, cholesky_to_state,
-                     eigenbasis, expectation, fidelity, negativity,
-                     partial_transpose, pauli_tensor, state_from_json,
-                     state_to_json)
+from .qstate import (CholeskyAngles, MeasurementSetup, check_density_matrix,
+                     cholesky_to_state, eigenbasis, expectation, fidelity,
+                     negativity, partial_transpose, pauli_tensor,
+                     state_from_json, state_to_json)
 from .stats import (DataVector, ProbabilityVector, SuccessRateReport,
                     differential_success_rate, distinction_success_rate,
                     lambda_min, log_likelihood_ratio, match_alpha,
                     outcome_probabilities, simulate_measurements,
                     witness_negative_probability)
-from .tomography import (MLEConfig, TomographySetup, mle_reconstruct,
-                         negativity_exceedance, r_operator, standard_setup,
-                         tomographic_success_rate)
+from .tomography import (MLEConfig, mle_reconstruct, negativity_exceedance,
+                         r_operator, tomographic_success_rate)
 from .loophole import (KNOWN_LOOPHOLE_STATE, LoopholeResult,
                        OptimizationConfig, find_loophole_state,
                        neg_log_likelihood, verify_loophole)

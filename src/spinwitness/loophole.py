@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .qstate import (check_density_matrix, cholesky_to_state, eigenbasis,
+from .qstate import (MeasurementSetup, check_density_matrix, cholesky_to_state,
                      negativity, state_to_cholesky_angles)
 from .stats import DataVector, trial_rng
 from .tomography import MLEConfig, mle_reconstruct
@@ -74,10 +74,6 @@ class InfeasibleSearchError(RuntimeError):
     """No feasible point found across restarts."""
 
 
-def _projector_stack(observables) -> np.ndarray:
-    return np.concatenate([eigenbasis(obs).projectors for obs in observables])
-
-
 def _neg_log_likelihood(rho: np.ndarray, counts: np.ndarray, projs: np.ndarray):
     """-sum n_i log Tr(rho P_i) for one state (a float) or a stack (an array).
     One einsum per projector, into contiguous rows: a single "pij,bji->bp"
@@ -98,21 +94,13 @@ def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
     probability (an infinitely bad fit the optimizer can move away from).
     A float for one state, an array for a stack of shape (..., 4, 4)."""
     return _neg_log_likelihood(rho, n.flat.astype(float),
-                               _projector_stack(observables))
+                               MeasurementSetup(observables).projectors)
 
 
 def neg_log_likelihood(angles, n: DataVector, observables):
     """:func:`state_neg_log_likelihood` of the state(s) at Cholesky angles
     (a :class:`CholeskyAngles` or an array of shape (..., 15))."""
     return state_neg_log_likelihood(cholesky_to_state(angles), n, observables)
-
-
-class _WitnessSetup:
-    """Duck-typed setup so the fixed-point MLE runs on witness-only data."""
-
-    def __init__(self, observables, projectors):
-        self.observables = observables
-        self.projectors = projectors
 
 
 class _Search:
@@ -186,12 +174,12 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
     in likelihood break toward lower negativity. A restart whose SLSQP run
     raises is recorded in ``restart_errors``.
     """
-    projs = _projector_stack(observables)
+    setup = MeasurementSetup(observables)
     neg_cap = negativity(rho_null) - cfg.constraint_margin
-    search = _Search(n.flat.astype(float), projs, neg_cap, cfg.gradient_step)
+    search = _Search(n.flat.astype(float), setup.projectors, neg_cap,
+                     cfg.gradient_step)
 
-    mle_state = mle_reconstruct(n, _WitnessSetup(tuple(observables), projs),
-                                MLEConfig(100))
+    mle_state = mle_reconstruct(n, setup, MLEConfig(100))
     starts = [state_to_cholesky_angles(mle_state).as_vector()]
     for r in range(cfg.restarts - 1):
         rng = trial_rng(seed, (_TAG_RESTART,), r)

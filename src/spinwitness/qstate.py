@@ -8,7 +8,7 @@ The partial transpose acts on the second tensor factor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,7 @@ __all__ = [
     "PAULI",
     "PauliObservable",
     "MeasurementBasis",
+    "MeasurementSetup",
     "CholeskyAngles",
     "pauli_tensor",
     "eigenbasis",
@@ -99,6 +100,21 @@ def eigenbasis(obs: PauliObservable) -> MeasurementBasis:
     return MeasurementBasis(obs, projs, vals)
 
 
+@dataclass(frozen=True)
+class MeasurementSetup:
+    """Pauli observables and their stacked eigenprojectors, shape
+    (4 * n_observables, 4, 4): row 4 * i + j is outcome j of observable i."""
+
+    observables: tuple
+    projectors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        obs = tuple(self.observables)
+        object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "projectors",
+                           np.concatenate([eigenbasis(o).projectors for o in obs]))
+
+
 def expectation(rho: np.ndarray, obs: PauliObservable) -> float:
     """Tr(rho * sigma) for the bipartite Pauli ``obs``; real for valid states."""
     return float(np.real(np.trace(rho @ pauli_tensor(obs))))
@@ -127,24 +143,26 @@ def purity(rho: np.ndarray) -> float:
 
 def _psd_sqrt(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Matrix square root via eigendecomposition, clamping eigenvalues in
-    [-tol, 0) to zero."""
+    [-tol, 0) to zero; one matrix or a stack of shape (..., 4, 4)."""
     w, v = np.linalg.eigh(rho)
     if w.min() < -tol:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]: a
+    float for two states, an array for stacks of shape (..., 4, 4), which
+    broadcast against each other."""
     sq = _psd_sqrt(rho)
     mid = sq @ sigma @ sq
-    mid = 0.5 * (mid + mid.conj().T)
+    mid = 0.5 * (mid + mid.conj().swapaxes(-1, -2))
     w = np.linalg.eigvalsh(mid)
     if w.min() < -1e-9:
         raise ValueError(f"inner matrix not PSD: min eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return float(min(np.sqrt(w).sum() ** 2, 1.0))
+    fid = np.minimum(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 1.0)
+    return float(fid) if fid.ndim == 0 else fid
 
 
 def dephase(rho: np.ndarray, p: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import ScenarioParams, spin_state
-from .qstate import eigenbasis
+from .qstate import MeasurementSetup, eigenbasis
 from .witnesses import W1_OBSERVABLES, optimal_fall_time, w1, w1_expectation_closed_form
 
 __all__ = [
@@ -108,11 +108,9 @@ class DataVector:
 
 def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
     """p[i, j] = Tr(rho |e_ij><e_ij|) over each observable's eigenprojectors."""
-    rows = []
-    for obs in observables:
-        basis = eigenbasis(obs)
-        rows.append(np.real(np.einsum("kij,ji->k", basis.projectors, rho)))
-    return ProbabilityVector(tuple(observables), np.array(rows))
+    setup = MeasurementSetup(observables)
+    probs = np.real(np.einsum("pij,ji->p", setup.projectors, rho))
+    return ProbabilityVector(setup.observables, probs.reshape(-1, 4))
 
 
 def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) -> np.ndarray:
@@ -143,18 +141,7 @@ def log_likelihood_ratio(n: DataVector, p_a: ProbabilityVector,
     infinite evidence: returns +inf (impossible under the null) or -inf
     (impossible under the alternative). Impossible under both raises.
     """
-    counts = n.flat
-    pa, p0 = p_a.flat, p_0.flat
-    active = counts > 0
-    dead_a = active & (pa <= 0.0)
-    dead_0 = active & (p0 <= 0.0)
-    if np.any(dead_a & dead_0):
-        raise ValueError("observed outcome impossible under both hypotheses")
-    if np.any(dead_a):
-        return -math.inf
-    if np.any(dead_0):
-        return math.inf
-    return float(2.0 * np.sum(counts[active] * (np.log(pa[active]) - np.log(p0[active]))))
+    return float(_lambda_batch(n.counts[None], p_a, p_0)[0])
 
 
 def _lambda_batch(counts: np.ndarray, p_a: ProbabilityVector,
@@ -163,9 +150,8 @@ def _lambda_batch(counts: np.ndarray, p_a: ProbabilityVector,
     infinite-evidence signaling as :func:`log_likelihood_ratio`."""
     flat = counts.reshape(counts.shape[0], -1)
     pa, p0 = p_a.flat, p_0.flat
-    with np.errstate(divide="ignore"):
-        la, l0 = np.log(pa), np.log(p0)
-    weight = la - l0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.log(pa) - np.log(p0)
     active = flat > 0
     dead_a = active & (pa <= 0.0)
     dead_0 = active & (p0 <= 0.0)

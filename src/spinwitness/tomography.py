@@ -8,16 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ScenarioParams, spin_state
-from .qstate import eigenbasis, negativity
-from .stats import (DataVector, SuccessRateReport, distinction_success_rate,
-                    outcome_probabilities, trial_rng)
+from .qstate import MeasurementSetup, fidelity, negativity
+from .stats import (DataVector, SuccessRateReport, _draw_counts,
+                    distinction_success_rate, outcome_probabilities)
 from .witnesses import optimal_fall_time, w1
 
 __all__ = [
     "TOMOGRAPHY_OBSERVABLES",
-    "TomographySetup",
     "MLEConfig",
-    "standard_setup",
     "r_operator",
     "mle_reconstruct",
     "tomographic_success_rate",
@@ -35,24 +33,6 @@ _TAG_FID = 13
 
 
 @dataclass(frozen=True)
-class TomographySetup:
-    """Measurement setup: observables and their stacked eigenprojectors."""
-
-    observables: tuple
-    projectors: np.ndarray  # (4*n_obs, 4, 4)
-
-    def __post_init__(self):
-        if len(self.observables) != 9:
-            raise ValueError("tomography needs the 9 X/Y/Z pair observables")
-
-
-def standard_setup() -> TomographySetup:
-    projs = np.concatenate([eigenbasis(obs).projectors
-                            for obs in TOMOGRAPHY_OBSERVABLES])
-    return TomographySetup(TOMOGRAPHY_OBSERVABLES, projs)
-
-
-@dataclass(frozen=True)
 class MLEConfig:
     """Fixed-point iteration settings; no early stopping."""
 
@@ -63,89 +43,54 @@ class MLEConfig:
             raise ValueError("iterations must be >= 1")
 
 
-def r_operator(rho: np.ndarray, n: DataVector, setup: TomographySetup) -> np.ndarray:
-    """R(rho) = (1/|n|_1) sum_i n_i / Tr(rho P_i) * P_i."""
-    counts = n.flat.astype(float)
-    probs = np.real(np.einsum("pij,ji->p", setup.projectors, rho))
-    dead = (counts > 0) & (probs <= 0.0)
-    if np.any(dead):
-        i = int(np.nonzero(dead)[0][0])
-        obs = setup.observables[i // 4]
-        raise ZeroDivisionError(
-            f"projector {i} (observable {obs}, outcome {i % 4}) has zero "
-            f"probability but {int(counts[i])} counts")
-    weights = np.where(counts > 0, counts / np.where(probs > 0, probs, 1.0), 0.0)
-    return np.einsum("p,pij->ij", weights / counts.sum(), setup.projectors)
+def _count_rows(n, setup: MeasurementSetup):
+    """(trials, 4 * n_observables) float counts and their row totals: one row
+    for a DataVector, one per trial for a count array."""
+    counts = np.atleast_2d(n.flat if isinstance(n, DataVector) else n).astype(float)
+    if counts.ndim != 2 or counts.shape[1] != len(setup.projectors):
+        raise ValueError(f"expected counts of shape (trials, {len(setup.projectors)}), "
+                         f"got {counts.shape}")
+    return counts, counts.sum(axis=1)
 
 
-def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
-    mask = counts > 0
-    return float(np.sum(counts[mask] * np.log(probs[mask])))
-
-
-def mle_reconstruct(n: DataVector, setup: TomographySetup,
-                    cfg: MLEConfig = MLEConfig(),
-                    track_likelihood: bool = False):
-    """Iterate rho <- normalize(R rho R) from the maximally mixed state for a
-    fixed number of iterations.
-
-    With ``track_likelihood`` also returns the per-iteration log-likelihood
-    (it is non-decreasing along the iteration up to rounding).
-    """
-    counts = n.flat.astype(float)
-    rho = np.eye(4, dtype=complex) / 4
-    loglik = []
-    for _ in range(cfg.iterations):
-        R = r_operator(rho, n, setup)
-        rho = R @ rho @ R
-        rho /= np.real(np.trace(rho))
-        rho = 0.5 * (rho + rho.conj().T)
-        if track_likelihood:
-            probs = np.real(np.einsum("pij,ji->p", setup.projectors, rho))
-            loglik.append(_log_likelihood(counts, probs))
-    if track_likelihood:
-        return rho, np.array(loglik)
-    return rho
-
-
-# --- batched internals for Monte Carlo over many reconstructions ---
-
-def _sample_tomo_counts(pv, N: int, seed: int, tag: int, trials: int) -> np.ndarray:
-    out = np.empty((trials, 36), dtype=np.int64)
-    probs = pv.probs / pv.probs.sum(axis=1, keepdims=True)
-    for t in range(trials):
-        rng = trial_rng(seed, (tag, N), t)
-        for i, block in enumerate(probs):
-            out[t, 4 * i:4 * (i + 1)] = rng.multinomial(N, block)
-    return out
-
-
-def _mle_batch(counts: np.ndarray, setup: TomographySetup, iterations: int) -> np.ndarray:
-    """Fixed-point MLE on a (trials, 36) count matrix at once."""
-    trials = counts.shape[0]
-    total = counts.sum(axis=1).astype(float)
-    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (trials, 4, 4)).copy()
+def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
+    """R of each state in a (trials, 4, 4) stack against its row of counts.
+    A counted outcome with probability <= 0 raises; an uncounted one weighs 0."""
     P = setup.projectors
-    for _ in range(iterations):
-        probs = np.real(np.einsum("pij,bji->bp", P, rho))
-        probs = np.maximum(probs, 1e-300)
-        weights = counts / (total[:, None] * probs)
-        R = np.einsum("bp,pij->bij", weights, P)
+    probs = np.real(np.einsum("pij,bji->bp", P, rho))
+    if probs.min() <= 0.0:
+        dead = np.argwhere((counts > 0) & (probs <= 0.0))
+        if len(dead):
+            t, i = dead[0]
+            raise ZeroDivisionError(
+                f"trial {t}: projector {i} (observable {setup.observables[i // 4]}, "
+                f"outcome {i % 4}) has zero probability but {int(counts[t, i])} counts")
+    weights = counts / (total[:, None] * np.maximum(probs, 1e-300))
+    return np.einsum("bp,pij->bij", weights, P)
+
+
+def r_operator(rho: np.ndarray, n, setup: MeasurementSetup) -> np.ndarray:
+    """R(rho) = (1/|n|_1) sum_i n_i / Tr(rho P_i) * P_i: one 4x4 matrix for a
+    state and a DataVector, a stack for a (trials, 4, 4) stack of states and a
+    (trials, 4 * n_observables) count array."""
+    counts, total = _count_rows(n, setup)
+    R = _r_stack(np.reshape(rho, (-1, 4, 4)), counts, total, setup)
+    return R[0] if isinstance(n, DataVector) else R
+
+
+def mle_reconstruct(n, setup: MeasurementSetup, cfg: MLEConfig = MLEConfig()) -> np.ndarray:
+    """Iterate rho <- normalize(R rho R) from the maximally mixed state for a
+    fixed number of iterations. A DataVector gives one state; a
+    (trials, 4 * n_observables) count array gives one state per row, all
+    iterated at once (a row's last bits depend on the stack size)."""
+    counts, total = _count_rows(n, setup)
+    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (len(counts), 4, 4)).copy()
+    for _ in range(cfg.iterations):
+        R = _r_stack(rho, counts, total, setup)
         rho = R @ rho @ R
-        tr = np.einsum("bii->b", rho).real
-        rho /= tr[:, None, None]
-        rho = 0.5 * (rho + np.conj(np.transpose(rho, (0, 2, 1))))
-    return rho
-
-
-def _fidelity_batch(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    sq = (v * np.sqrt(w)[:, None, :]) @ np.conj(np.transpose(v, (0, 2, 1)))
-    mid = sq @ sigma @ sq
-    mid = 0.5 * (mid + np.conj(np.transpose(mid, (0, 2, 1))))
-    w2 = np.clip(np.linalg.eigvalsh(mid), 0.0, None)
-    return np.minimum(np.sqrt(w2).sum(axis=1) ** 2, 1.0)
+        rho /= np.einsum("bii->b", rho).real[:, None, None]
+        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return rho[0] if isinstance(n, DataVector) else rho
 
 
 def _check_total(total_shots: int) -> int:
@@ -164,26 +109,28 @@ def tomographic_success_rate(p: ScenarioParams, totals, alpha: float, trials: in
                                     trials, seed, lambda_trials, tau)
 
 
+def _tomo_counts(rho: np.ndarray, N: int, seed: int, tag: int, trials: int):
+    """(trials, 36) multinomial counts of N shots per tomography observable."""
+    pv = outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES)
+    return _draw_counts(pv, N, seed, (tag, N), trials).reshape(trials, -1)
+
+
 def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: int,
                           seed: int, cfg: MLEConfig = MLEConfig(),
-                          tau: float | None = None,
-                          setup: TomographySetup | None = None) -> float:
+                          tau: float | None = None) -> float:
     """Fraction of alternative-hypothesis reconstructions whose negativity
     exceeds the 99th percentile (nearest rank) of the null reconstructions'
     negativities."""
     N = _check_total(shots_per_tomography)
-    if setup is None:
-        setup = standard_setup()
+    setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
     if tau is None:
         tau = optimal_fall_time(p, w1()).tau
-    rho_a = spin_state(p.with_hypothesis(True), tau)
-    rho_0 = spin_state(p.with_hypothesis(False), tau)
-    pv_a = outcome_probabilities(rho_a, setup.observables)
-    pv_0 = outcome_probabilities(rho_0, setup.observables)
-    counts_a = _sample_tomo_counts(pv_a, N, seed, _TAG_TOMO_ALT, trials)
-    counts_0 = _sample_tomo_counts(pv_0, N, seed, _TAG_TOMO_NULL, trials)
-    neg_a = negativity(_mle_batch(counts_a, setup, cfg.iterations))
-    neg_0 = negativity(_mle_batch(counts_0, setup, cfg.iterations))
+    counts_a = _tomo_counts(spin_state(p.with_hypothesis(True), tau), N, seed,
+                            _TAG_TOMO_ALT, trials)
+    counts_0 = _tomo_counts(spin_state(p.with_hypothesis(False), tau), N, seed,
+                            _TAG_TOMO_NULL, trials)
+    neg_a = negativity(mle_reconstruct(counts_a, setup, cfg))
+    neg_0 = negativity(mle_reconstruct(counts_0, setup, cfg))
     threshold = np.sort(neg_0)[int(np.ceil(0.99 * trials)) - 1]
     return float(np.mean(neg_a > threshold))
 
@@ -199,15 +146,13 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     if hypothesis not in ("alt", "null"):
         raise ValueError("hypothesis must be 'alt' or 'null'")
     N = _check_total(shots_per_tomography)
-    setup = standard_setup()
     if tau is None:
         tau = optimal_fall_time(p, w1()).tau
     rho = spin_state(p.with_hypothesis(hypothesis == "alt"), tau)
-    pv = outcome_probabilities(rho, setup.observables)
     tag = _TAG_FID if hypothesis == "alt" else _TAG_FID + 1
-    counts = _sample_tomo_counts(pv, N, seed, tag, trials)
-    rec = _mle_batch(counts, setup, cfg.iterations)
-    return negativity(rec), _fidelity_batch(rec, rho)
+    counts = _tomo_counts(rho, N, seed, tag, trials)
+    rec = mle_reconstruct(counts, MeasurementSetup(TOMOGRAPHY_OBSERVABLES), cfg)
+    return negativity(rec), fidelity(rec, rho)
 
 
 def write_batch_csv(path, shots: int, hypothesis: str, negativities, fidelities) -> None:

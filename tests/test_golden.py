@@ -46,7 +46,7 @@ GOLDEN = {
     },
     "loophole": {
         "loophole.json":
-            "6c40ab8534e50fed4fe7ae592a8dc62d2e50409511c49301886b163970e79cf5",
+            "306fb4a362cd79368fae7d5fb189b9fe21323d9dc8ee9a1bafba92790b260f3f",
     },
     "pea": {
         "pea.csv":

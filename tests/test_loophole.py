@@ -10,12 +10,11 @@ from spinwitness.loophole import (KNOWN_LOOPHOLE_STATE, InfeasibleSearchError,
                                   neg_log_likelihood, result_to_json,
                                   state_neg_log_likelihood, verify_loophole)
 from spinwitness.model import ScenarioParams, spin_state
-from spinwitness.qstate import (CholeskyAngles, check_density_matrix,
-                                cholesky_to_state, fidelity, negativity,
-                                partial_transpose)
+from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
+                                check_density_matrix, cholesky_to_state,
+                                fidelity, negativity, partial_transpose)
 from spinwitness.stats import DataVector, simulate_measurements
-from spinwitness.tomography import (TOMOGRAPHY_OBSERVABLES, mle_reconstruct,
-                                    standard_setup)
+from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES, mle_reconstruct
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
 
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
@@ -103,7 +102,7 @@ class TestFindLoopholeState:
         # likelihood maximum is unique, so the search must recover the
         # fixed-point MLE state
         from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES
-        setup = standard_setup()
+        setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
         data = simulate_measurements(RHO_A, TOMOGRAPHY_OBSERVABLES, 1000, seed=2)
         bell = np.zeros((4, 4), dtype=complex)
         bell[np.ix_([0, 3], [0, 3])] = 0.5  # max negativity: constraint vacuous
@@ -122,13 +121,7 @@ class TestFindLoopholeState:
         cfg = OptimizationConfig(restarts=4, constraint_margin=0.0)
         result = find_loophole_state(data, bell, cfg, seed=2)
 
-        from spinwitness.loophole import _projector_stack
-
-        class WitnessSetup:
-            observables = W1_OBSERVABLES
-            projectors = _projector_stack(W1_OBSERVABLES)
-
-        mle = mle_reconstruct(data, WitnessSetup())
+        mle = mle_reconstruct(data, MeasurementSetup(W1_OBSERVABLES))
         nll_mle = state_neg_log_likelihood(mle, data, W1_OBSERVABLES)
         assert result.nll <= nll_mle + 1e-6
 
@@ -256,7 +249,7 @@ class TestBatchedJacobians:
         neg_cap = negativity(RHO_0) - 1e-4
         for data, obs, x in _jacobian_cases():
             counts = data.flat.astype(float)
-            projs = lh._projector_stack(obs)
+            projs = MeasurementSetup(obs).projectors
             seen = []
             objective, constraint = _oracle(counts, projs, neg_cap, seen)
             search = lh._Search(counts, projs, neg_cap, h)
@@ -281,7 +274,7 @@ class TestBatchedJacobians:
         # is exactly |00><00|, which gives a counted ZZ outcome zero
         # probability: an infinite NLL, never the incumbent
         data = DataVector(np.array([[3, 5, 0, 0]], dtype=np.int64), 8)
-        projs = lh._projector_stack((("Z", "Z"),))
+        projs = MeasurementSetup((("Z", "Z"),)).projectors
         search = lh._Search(data.flat.astype(float), projs, 1.0, 1e-6)
         grad = search.objective_jac(np.zeros(15))
         assert np.isfinite(search.best[0])

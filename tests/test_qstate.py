@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spinwitness.qstate import (CholeskyAngles, check_density_matrix,
+from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
+                                check_density_matrix,
                                 cholesky_to_state, dephase, eigenbasis,
                                 expectation, fidelity, negativity,
                                 partial_transpose, pauli_tensor, purity,
@@ -177,6 +178,37 @@ class TestFidelity:
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             fidelity(bad, np.eye(4) / 4)
+
+    def test_stack_equals_loop_bit_for_bit(self, rng):
+        truth = random_state(rng)
+        stack = np.array([random_state(rng, rank=1 + t % 4) for t in range(200)])
+        values = fidelity(stack, truth)
+        assert values.shape == (200,)
+        assert np.array_equal(values, [fidelity(rho, truth) for rho in stack])
+        pairs = np.array([[random_state(rng), random_state(rng)] for _ in range(6)])
+        assert np.array_equal(fidelity(pairs[:, 0], pairs[:, 1]),
+                              [fidelity(a, b) for a, b in pairs])
+
+    def test_stack_rejects_one_non_psd_member(self, rng):
+        stack = np.array([random_state(rng) for _ in range(3)])
+        stack[1] = np.diag([1.2, -0.2, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not PSD"):
+            fidelity(stack, np.eye(4) / 4)
+
+
+class TestMeasurementSetup:
+    def test_stacks_eigenprojectors_in_observable_order(self):
+        obs = (("X", "Z"), ("Y", "Y"), ("Z", "X"))
+        setup = MeasurementSetup(list(obs))
+        assert setup.observables == obs
+        assert setup.projectors.shape == (12, 4, 4)
+        for i, o in enumerate(obs):
+            assert np.array_equal(setup.projectors[4 * i:4 * i + 4],
+                                  eigenbasis(o).projectors)
+
+    def test_rejects_identity_factor(self):
+        with pytest.raises(ValueError):
+            MeasurementSetup((("X", "I"),))
 
 
 def test_eigh_residual_contract(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import eigenbasis, expectation
-from spinwitness.stats import (DataVector, ProbabilityVector,
+from spinwitness.stats import (DataVector, ProbabilityVector, _lambda_batch,
                                differential_success_rate,
                                distinction_success_rate, lambda_min,
                                log_likelihood_ratio, match_alpha,
@@ -47,6 +47,14 @@ class TestProbabilityVector:
             for j in range(4):
                 direct = np.trace(rho @ basis.projectors[j]).real
                 assert pv.probs[i, j] == pytest.approx(direct, abs=1e-12)
+
+    def test_equals_per_observable_traces_bit_for_bit(self, rng):
+        obs = W1_OBSERVABLES + (("Z", "Z"), ("Y", "X"))
+        for _ in range(20):
+            rho = random_state(rng)
+            rows = [np.real(np.einsum("kij,ji->k", eigenbasis(o).projectors, rho))
+                    for o in obs]
+            assert np.array_equal(outcome_probabilities(rho, obs).probs, rows)
 
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError):
@@ -136,6 +144,28 @@ class TestLogLikelihoodRatio:
         assert log_likelihood_ratio(data, p0, pa) == -math.inf
         with pytest.raises(ValueError):
             log_likelihood_ratio(data, p0, p0)
+
+    def test_equals_batch_row_including_infinite_evidence(self, rng):
+        # one function: the scalar is the batch on one row; rows of a larger
+        # batch may differ in the last bit (the matrix-vector product)
+        pa = pv_from_rows(ZZ, [[0.25, 0.25, 0.5, 0.0]])
+        p0 = pv_from_rows(ZZ, [[0.5, 0.0, 0.25, 0.25]])
+        tau = optimal_fall_time(P450, w1()).tau
+        p_a = outcome_probabilities(spin_state(P450.with_hypothesis(True), tau),
+                                    W1_OBSERVABLES)
+        p_0 = outcome_probabilities(spin_state(P450.with_hypothesis(False), tau),
+                                    W1_OBSERVABLES)
+        draws = np.array([rng.multinomial(40, block) for _ in range(30)
+                          for block in p_a.probs]).reshape(30, 3, 4)
+        cases = [(np.array([[[3, 0, 2, 0]], [[1, 4, 0, 0]], [[0, 0, 1, 4]],
+                            [[2, 0, 3, 0]]]), pa, p0), (draws, p_a, p_0)]
+        for counts, a, b in cases:
+            batch = _lambda_batch(counts, a, b)
+            for row, lam in zip(counts, batch):
+                one = log_likelihood_ratio(DataVector(row, row[0].sum()), a, b)
+                assert one == _lambda_batch(row[None], a, b)[0]
+                assert one == pytest.approx(lam, rel=1e-12, abs=1e-12)
+        assert list(_lambda_batch(cases[0][0], pa, p0)[1:3]) == [math.inf, -math.inf]
 
 
 class TestLambdaMin:

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
+from spinwitness.loophole import state_neg_log_likelihood
 from spinwitness.model import ScenarioParams, spin_state
-from spinwitness.qstate import check_density_matrix, fidelity
+from spinwitness.qstate import MeasurementSetup, check_density_matrix, fidelity
 from spinwitness.stats import (DataVector, distinction_success_rate,
                                outcome_probabilities, simulate_measurements)
 from spinwitness.tomography import (MLEConfig, TOMOGRAPHY_OBSERVABLES,
                                     mle_reconstruct, negativity_exceedance,
                                     r_operator, reconstruction_batch,
-                                    standard_setup, tomographic_success_rate,
-                                    write_batch_csv)
+                                    tomographic_success_rate, write_batch_csv)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
 from conftest import random_state
 
 P450 = ScenarioParams(dephasing_gamma=0.03)
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
-SETUP = standard_setup()
+SETUP = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
 
 
 def uniform_data(shots_per_obs: int) -> DataVector:
@@ -51,12 +51,8 @@ class TestROperator:
         counts[0, 0] = 7
         # bypass the per-block sum check: measure only the first observable
         data = DataVector(counts[:1], 7)
-
-        class OneObs:
-            observables = (TOMOGRAPHY_OBSERVABLES[0],)
-            projectors = SETUP.projectors[:4]
-
-        r = r_operator(np.eye(4, dtype=complex) / 4, data, OneObs())
+        one_obs = MeasurementSetup(TOMOGRAPHY_OBSERVABLES[:1])
+        r = r_operator(np.eye(4, dtype=complex) / 4, data, one_obs)
         proj = SETUP.projectors[0]
         assert np.abs(r / np.trace(r).real - proj / np.trace(proj).real).max() < 1e-12
 
@@ -91,9 +87,12 @@ class TestMLE:
         tau = optimal_fall_time(P450, w1()).tau
         truth = spin_state(P450, tau)
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 30, seed=5)
-        rho, loglik = mle_reconstruct(data, SETUP, MLEConfig(100),
-                                      track_likelihood=True)
-        check_density_matrix(rho)
+        iterates = [mle_reconstruct(data, SETUP, MLEConfig(k))
+                    for k in range(1, 101)]
+        loglik = -np.array([state_neg_log_likelihood(rho, data,
+                                                     TOMOGRAPHY_OBSERVABLES)
+                            for rho in iterates])
+        check_density_matrix(iterates[-1])
         assert loglik.size == 100
         assert np.all(np.diff(loglik) >= -1e-12)
 
@@ -103,6 +102,52 @@ class TestMLE:
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 20000, seed=8)
         rho = mle_reconstruct(data, SETUP)
         assert fidelity(rho, truth) > 0.999
+
+    def test_one_row_stack_equals_data_vector_call(self):
+        truth = spin_state(P350, optimal_fall_time(P350, w1()).tau)
+        for seed in range(5):
+            data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 10, seed=seed)
+            single = mle_reconstruct(data, SETUP)
+            stack = mle_reconstruct(data.flat[None], SETUP)
+            assert single.shape == (4, 4) and stack.shape == (1, 4, 4)
+            assert np.array_equal(stack[0], single)
+
+    def test_stack_rows_match_single_calls(self):
+        truth = spin_state(P350, optimal_fall_time(P350, w1()).tau)
+        data = [simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 10, seed=s)
+                for s in range(40)]
+        stack = mle_reconstruct(np.array([d.flat for d in data]), SETUP)
+        assert stack.shape == (40, 4, 4)
+        for d, rho in zip(data, stack):
+            assert np.abs(rho - mle_reconstruct(d, SETUP)).max() <= 1e-12
+
+    def test_counted_zero_probability_in_one_trial_raises_naming_it(self):
+        # ZZ outcome 2 (|10>) can never be seen when every other trial is
+        # consistent with |00><00|: after one step the iterate of trial 3 has
+        # a counted outcome with zero probability
+        counts = np.zeros((5, 9, 4), dtype=np.int64)
+        counts[:, :, 0] = 4
+        counts[:, 8] = [4, 0, 0, 0]
+        counts[3, 8] = [0, 0, 4, 0]
+        rho = np.zeros((5, 4, 4), dtype=complex)
+        rho[:, 0, 0] = 1.0
+        with pytest.raises(ZeroDivisionError, match=r"trial 3: .*'Z', 'Z'.*outcome 2"):
+            r_operator(rho, counts.reshape(5, 36), SETUP)
+
+    def test_uncounted_zero_probability_weighs_nothing(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        counts = np.zeros((9, 4), dtype=np.int64)
+        counts[:, 0] = 5
+        r = r_operator(rho, DataVector(counts, 5), SETUP)
+        assert np.isfinite(r).all()
+        direct = sum(5 / np.trace(rho @ SETUP.projectors[4 * i]).real
+                     * SETUP.projectors[4 * i] for i in range(9)) / 45
+        assert np.abs(r - direct).max() < 1e-12
+
+    def test_count_width_must_match_setup(self):
+        with pytest.raises(ValueError, match="shape"):
+            mle_reconstruct(np.ones((3, 12)), SETUP)
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):
