@@ -1,5 +1,6 @@
-"""Maximum-likelihood state reconstruction from informationally complete
-Pauli data, and tomography-based distinction statistics."""
+"""Fixed-point maximum-likelihood state reconstruction from Pauli outcome
+counts, one data set or a stack of them, and tomography-based distinction
+statistics."""
 from __future__ import annotations
 
 import csv
