@@ -121,7 +121,8 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
                           tau: float | None = None) -> float:
     """Fraction of alternative-hypothesis reconstructions whose negativity
     exceeds the 99th percentile (nearest rank) of the null reconstructions'
-    negativities."""
+    negativities by more than 1e-12: a tie decides for the null, whatever
+    its rounding."""
     N = _check_total(shots_per_tomography)
     setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
     if tau is None:
@@ -133,7 +134,7 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
     neg_a = negativity(mle_reconstruct(counts_a, setup, cfg))
     neg_0 = negativity(mle_reconstruct(counts_0, setup, cfg))
     threshold = np.sort(neg_0)[int(np.ceil(0.99 * trials)) - 1]
-    return float(np.mean(neg_a > threshold))
+    return float(np.mean(neg_a - threshold > 1e-12))
 
 
 def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: int,

@@ -194,6 +194,18 @@ class TestDistinction:
         assert witness.shots_axis == tomo.shots_axis
         assert abs(witness.rates[0] - tomo.rates[0]) <= 0.15
 
+    def test_exceedance_tie_counts_for_the_null(self, monkeypatch):
+        # 100 trials: the nearest-rank 99th percentile is the 99th smallest
+        # null negativity; alternatives one ulp above it tie, 1e-9 above win
+        import spinwitness.tomography as tomo
+        neg_0 = np.linspace(0.0, 0.1, 100)
+        threshold = neg_0[98]
+        neg_a = np.full(100, np.nextafter(threshold, 1.0))
+        neg_a[:7] = threshold + 1e-9
+        values = iter([neg_a, neg_0])  # alternative first, then the null
+        monkeypatch.setattr(tomo, "negativity", lambda rho: next(values))
+        assert negativity_exceedance(P350, 9, trials=100, seed=0) == 0.07
+
     def test_exceedance_smoke(self):
         rate = negativity_exceedance(P450, 900, trials=200, seed=6)
         assert 0.0 <= rate <= 1.0
