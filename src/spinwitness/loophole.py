@@ -74,15 +74,13 @@ class InfeasibleSearchError(RuntimeError):
     """No feasible point found across restarts."""
 
 
-def _neg_log_likelihood(rho: np.ndarray, counts: np.ndarray, projs: np.ndarray):
+def _neg_log_likelihood(rho: np.ndarray, counts: np.ndarray, setup: MeasurementSetup):
     """-sum n_i log Tr(rho P_i) for one state (a float) or a stack (an array).
-    One einsum per projector, into contiguous rows: a single "pij,bji->bp"
-    einsum or sums over strided rows round differently in the last bit."""
+    Each row is summed from a C-contiguous (stack, counted outcomes) array,
+    so a stack gives the bits of one call per state."""
     stack = np.asarray(rho).reshape(-1, 4, 4)
     active = counts > 0
-    probs = np.empty((len(stack), np.count_nonzero(active)))
-    for p, proj in enumerate(projs[active]):
-        probs[:, p] = np.real(np.einsum("ij,bji->b", proj, stack))
+    probs = np.ascontiguousarray(setup.probabilities(stack)[:, active])
     with np.errstate(divide="ignore", invalid="ignore"):
         nll = -np.sum(counts[active] * np.log(probs), axis=-1)
     nll[np.any(probs <= 0.0, axis=-1)] = math.inf
@@ -93,8 +91,7 @@ def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
     """-sum n_i log Tr(rho P_i); +inf when a counted outcome has zero
     probability (an infinitely bad fit the optimizer can move away from).
     A float for one state, an array for a stack of shape (..., 4, 4)."""
-    return _neg_log_likelihood(rho, n.flat.astype(float),
-                               MeasurementSetup(observables).projectors)
+    return _neg_log_likelihood(rho, n.flat.astype(float), MeasurementSetup(observables))
 
 
 def neg_log_likelihood(angles, n: DataVector, observables):
@@ -110,9 +107,9 @@ class _Search:
     and for both Jacobians, at the same x (updated in place, so keyed by its
     bytes): the state at x and the stack of its probe states are built once."""
 
-    def __init__(self, counts: np.ndarray, projs: np.ndarray, neg_cap: float,
+    def __init__(self, counts: np.ndarray, setup: MeasurementSetup, neg_cap: float,
                  h: float):
-        self.counts, self.projs, self.neg_cap, self.h = counts, projs, neg_cap, h
+        self.counts, self.setup, self.neg_cap, self.h = counts, setup, neg_cap, h
         self.best: tuple | None = None  # (nll, negativity, angles)
         self._cache = [(None, None), (None, None)]  # [probes] -> (key, value)
 
@@ -127,7 +124,7 @@ class _Search:
                 points = np.empty((2 * x.size, x.size))
                 points[0::2], points[1::2] = x + steps, x - steps
             rho = cholesky_to_state(points)
-            nll = _neg_log_likelihood(rho, self.counts, self.projs)
+            nll = _neg_log_likelihood(rho, self.counts, self.setup)
             self._cache[probes] = key, (points, nll, negativity(rho))
         return self._cache[probes][1]
 
@@ -176,8 +173,7 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
     """
     setup = MeasurementSetup(observables)
     neg_cap = negativity(rho_null) - cfg.constraint_margin
-    search = _Search(n.flat.astype(float), setup.projectors, neg_cap,
-                     cfg.gradient_step)
+    search = _Search(n.flat.astype(float), setup, neg_cap, cfg.gradient_step)
 
     mle_state = mle_reconstruct(n, setup, MLEConfig(100))
     starts = [state_to_cholesky_angles(mle_state).as_vector()]

@@ -102,17 +102,37 @@ def eigenbasis(obs: PauliObservable) -> MeasurementBasis:
 
 @dataclass(frozen=True)
 class MeasurementSetup:
-    """Pauli observables and their stacked eigenprojectors, shape
-    (4 * n_observables, 4, 4): row 4 * i + j is outcome j of observable i."""
+    """Pauli observables, their stacked eigenprojectors P_p, shape
+    (4 * n_observables, 4, 4) with row p = 4 * i + j outcome j of observable
+    i, and the real design matrix D, shape (32, 4 * n_observables), with
+    Tr(rho P_p) = [Re rho, Im rho] . D[:, p]. Probabilities and operators are
+    one einsum over D each, so a row of a stack gets the bits of one call."""
 
     observables: tuple
     projectors: np.ndarray = field(init=False, repr=False, compare=False)
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.observables)
+        projs = np.concatenate([eigenbasis(o).projectors for o in obs])
         object.__setattr__(self, "observables", obs)
-        object.__setattr__(self, "projectors",
-                           np.concatenate([eigenbasis(o).projectors for o in obs]))
+        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "design", _real_coordinates(projs).T.copy())
+
+    def probabilities(self, rho) -> np.ndarray:
+        """Tr(rho P_p) of one state or a stack of shape (..., 4, 4), by p."""
+        return np.einsum("...k,kp->...p", _real_coordinates(rho), self.design)
+
+    def operator(self, weights) -> np.ndarray:
+        """sum_p w_p P_p, a 4x4 matrix per row of real weights w."""
+        y = np.einsum("...p,kp->...k", weights, self.design)
+        return (y[..., :16] + 1j * y[..., 16:]).reshape(y.shape[:-1] + (4, 4))
+
+
+def _real_coordinates(rho) -> np.ndarray:
+    """[Re rho, Im rho] of shape (..., 32) for matrices of shape (..., 4, 4)."""
+    flat = np.reshape(rho, np.shape(rho)[:-2] + (16,))
+    return np.concatenate((flat.real, flat.imag), axis=-1)
 
 
 def expectation(rho: np.ndarray, obs: PauliObservable) -> float:

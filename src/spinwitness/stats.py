@@ -109,8 +109,8 @@ class DataVector:
 def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
     """p[i, j] = Tr(rho |e_ij><e_ij|) over each observable's eigenprojectors."""
     setup = MeasurementSetup(observables)
-    probs = np.real(np.einsum("pij,ji->p", setup.projectors, rho))
-    return ProbabilityVector(setup.observables, probs.reshape(-1, 4))
+    probs = setup.probabilities(rho).reshape(-1, 4)
+    return ProbabilityVector(setup.observables, probs)
 
 
 def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) -> np.ndarray:

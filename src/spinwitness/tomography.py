@@ -57,8 +57,7 @@ def _count_rows(n, setup: MeasurementSetup):
 def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
     """R of each state in a (trials, 4, 4) stack against its row of counts.
     A counted outcome with probability <= 0 raises; an uncounted one weighs 0."""
-    P = setup.projectors
-    probs = np.real(np.einsum("pij,bji->bp", P, rho))
+    probs = setup.probabilities(rho)
     if probs.min() <= 0.0:
         dead = np.argwhere((counts > 0) & (probs <= 0.0))
         if len(dead):
@@ -66,8 +65,7 @@ def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
             raise ZeroDivisionError(
                 f"trial {t}: projector {i} (observable {setup.observables[i // 4]}, "
                 f"outcome {i % 4}) has zero probability but {int(counts[t, i])} counts")
-    weights = counts / (total[:, None] * np.maximum(probs, 1e-300))
-    return np.einsum("bp,pij->bij", weights, P)
+    return setup.operator(counts / (total[:, None] * np.maximum(probs, 1e-300)))
 
 
 def r_operator(rho: np.ndarray, n, setup: MeasurementSetup) -> np.ndarray:
@@ -83,7 +81,7 @@ def mle_reconstruct(n, setup: MeasurementSetup, cfg: MLEConfig = MLEConfig()) ->
     """Iterate rho <- normalize(R rho R) from the maximally mixed state for a
     fixed number of iterations. A DataVector gives one state; a
     (trials, 4 * n_observables) count array gives one state per row, all
-    iterated at once (a row's last bits depend on the stack size)."""
+    iterated at once, each with the bits of its single-row call."""
     counts, total = _count_rows(n, setup)
     rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (len(counts), 4, 4)).copy()
     for _ in range(cfg.iterations):

@@ -40,13 +40,13 @@ TRIALS = "50"
 GOLDEN = {
     "differential": {
         "differential.csv":
-            "b4b82d29ad757c66ec7ca17bd499acbccd6cbb01c03c34fb71dda618eb56452d",
+            "05133854cb306c9676f6b941ebb2adf2257528f8eef0452183fab9331d82d4aa",
         "differential_meta.json":
             "8d88ff1d09ba7321dd7f616f234ac4e7dd7240ad98317c0a303ae02f657e58a3",
     },
     "loophole": {
         "loophole.json":
-            "306fb4a362cd79368fae7d5fb189b9fe21323d9dc8ee9a1bafba92790b260f3f",
+            "591ea48bf742d7a1e3e2c6d05d57e575313ed1de6da2daa6ddeb1c777a3b92c3",
     },
     "pea": {
         "pea.csv":
@@ -78,9 +78,9 @@ GOLDEN = {
     },
     "tomo": {
         "tomo_batch_alt.csv":
-            "d82dfb39012d9741940b8348d105257eb0d51f2e6b307764c9b4faef884ed904",
+            "95bf987af7cdbade3841516fbe585fe42c62f24a24a7522d7405dc0171d353d9",
         "tomo_batch_null.csv":
-            "f52916cb8738f728d61635c0c207596e9c01bc2a0a0ee907307e1ed4b2bc10c4",
+            "fa97520d79da437566b9efc0e8645018ddfc36e200c6bd176f8eb809bb03c66e",
         "tomo_exceedance.csv":
             "d4895b7d4690b2c38604232981d5f299199f652a836e93b524276366e9598f97",
     },

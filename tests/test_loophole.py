@@ -202,13 +202,13 @@ def _central_grad(fun, x: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
-def _oracle(counts, projs, neg_cap, seen):
+def _oracle(counts, setup, neg_cap, seen):
     """Scalar objective and constraint; the objective records each x it is
     offered, as the incumbent saw them."""
 
     def nll_of(x):
         rho = cholesky_to_state(CholeskyAngles.from_vector(x))
-        probs = np.real(np.einsum("pij,ji->p", projs, rho))
+        probs = setup.probabilities(rho)
         active = counts > 0
         if np.any(probs[active] <= 0.0):
             return math.inf
@@ -249,10 +249,10 @@ class TestBatchedJacobians:
         neg_cap = negativity(RHO_0) - 1e-4
         for data, obs, x in _jacobian_cases():
             counts = data.flat.astype(float)
-            projs = MeasurementSetup(obs).projectors
+            setup = MeasurementSetup(obs)
             seen = []
-            objective, constraint = _oracle(counts, projs, neg_cap, seen)
-            search = lh._Search(counts, projs, neg_cap, h)
+            objective, constraint = _oracle(counts, setup, neg_cap, seen)
+            search = lh._Search(counts, setup, neg_cap, h)
             offered = []
             consider = search.consider
             search.consider = lambda x, fx, neg: (
@@ -274,8 +274,8 @@ class TestBatchedJacobians:
         # is exactly |00><00|, which gives a counted ZZ outcome zero
         # probability: an infinite NLL, never the incumbent
         data = DataVector(np.array([[3, 5, 0, 0]], dtype=np.int64), 8)
-        projs = MeasurementSetup((("Z", "Z"),)).projectors
-        search = lh._Search(data.flat.astype(float), projs, 1.0, 1e-6)
+        setup = MeasurementSetup((("Z", "Z"),))
+        search = lh._Search(data.flat.astype(float), setup, 1.0, 1e-6)
         grad = search.objective_jac(np.zeros(15))
         assert np.isfinite(search.best[0])
         assert not np.array_equal(search.best[2], np.zeros(15))

@@ -13,6 +13,7 @@ from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
 from conftest import (oracle_kron, oracle_negativity, oracle_partial_transpose,
                       random_pure_product, random_separable_state, random_state)
 
+TOMO = tuple((a, b) for a in "XYZ" for b in "XYZ")
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[np.ix_([0, 3], [0, 3])] = 0.5  # |Phi+><Phi+|
 
@@ -209,6 +210,28 @@ class TestMeasurementSetup:
     def test_rejects_identity_factor(self):
         with pytest.raises(ValueError):
             MeasurementSetup((("X", "I"),))
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 7)])
+    def test_probabilities_of_a_stack_equal_single_calls(self, rng, lead):
+        setup = MeasurementSetup(TOMO)
+        stack = cholesky_to_state(rng.uniform(0.0, np.pi, lead + (15,)))
+        probs = setup.probabilities(stack)
+        assert probs.shape == lead + (36,)
+        for idx in np.ndindex(lead):
+            assert np.array_equal(probs[idx], setup.probabilities(stack[idx]))
+            direct = [np.trace(stack[idx] @ P).real for P in setup.projectors]
+            assert np.abs(probs[idx] - direct).max() <= 1e-15
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 7)])
+    def test_operator_of_a_stack_equals_single_calls(self, rng, lead):
+        setup = MeasurementSetup(TOMO)
+        weights = rng.dirichlet(np.ones(36), size=lead)
+        ops = setup.operator(weights)
+        assert ops.shape == lead + (4, 4)
+        for idx in np.ndindex(lead):
+            assert np.array_equal(ops[idx], setup.operator(weights[idx]))
+            direct = sum(w * P for w, P in zip(weights[idx], setup.projectors))
+            assert np.abs(ops[idx] - direct).max() <= 1e-15
 
 
 def test_eigh_residual_contract(rng):

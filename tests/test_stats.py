@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinwitness.model import ScenarioParams, spin_state
-from spinwitness.qstate import eigenbasis, expectation
+from spinwitness.qstate import MeasurementSetup, eigenbasis, expectation
 from spinwitness.stats import (DataVector, ProbabilityVector, _lambda_batch,
                                differential_success_rate,
                                distinction_success_rate, lambda_min,
@@ -52,8 +52,7 @@ class TestProbabilityVector:
         obs = W1_OBSERVABLES + (("Z", "Z"), ("Y", "X"))
         for _ in range(20):
             rho = random_state(rng)
-            rows = [np.real(np.einsum("kij,ji->k", eigenbasis(o).projectors, rho))
-                    for o in obs]
+            rows = [MeasurementSetup((o,)).probabilities(rho) for o in obs]
             assert np.array_equal(outcome_probabilities(rho, obs).probs, rows)
 
     def test_rejects_bad_blocks(self):

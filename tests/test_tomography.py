@@ -119,7 +119,7 @@ class TestMLE:
         stack = mle_reconstruct(np.array([d.flat for d in data]), SETUP)
         assert stack.shape == (40, 4, 4)
         for d, rho in zip(data, stack):
-            assert np.abs(rho - mle_reconstruct(d, SETUP)).max() <= 1e-12
+            assert np.array_equal(rho, mle_reconstruct(d, SETUP))
 
     def test_counted_zero_probability_in_one_trial_raises_naming_it(self):
         # ZZ outcome 2 (|10>) can never be seen when every other trial is
