@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
     return data
-
-
-def _scenario(config: dict) -> model.ScenarioParams:
-    return model.ScenarioParams.from_dict(config.get("scenario", {}))
 
 
 def _section(config: dict, name: str, defaults: dict, trials_override) -> dict:
@@ -134,17 +130,7 @@ def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> N
     result = lh.find_loophole_state(data, rho_0, cfg, seed, rho_reference=rho_a)
     verification = lh.verify_loophole(result, rho_a, rho_0, data)
     payload = json.loads(lh.result_to_json(result))
-    payload["verification"] = {
-        "negativity_null": verification.negativity_null,
-        "negativity_result": verification.negativity_result,
-        "ordering_ok": verification.ordering_ok,
-        "nll_result": verification.nll_result,
-        "nll_rho_a": verification.nll_rho_a,
-        "likelihood_ok": verification.likelihood_ok,
-        "state_ok": verification.state_ok,
-        "reference_state_ok": verification.reference_state_ok,
-        "passed": verification.passed,
-    }
+    payload["verification"] = {**asdict(verification), "passed": verification.passed}
     (out / "loophole.json").write_text(json.dumps(payload, indent=2))
 
 
@@ -172,9 +158,8 @@ _COMMANDS = {
                   "max_iterations": 150, "tau": None}),
 }
 
-_CONFIG_KEYS = {"pea", "scan", "success", "witneg", "differential", "tomo",
-                "loophole", "scenario"}
 _SECTION_NAME = {"scan-witness": "scan"}
+_CONFIG_KEYS = {_SECTION_NAME.get(c, c) for c in _COMMANDS} | {"scenario"}
 
 
 def main(argv=None) -> int:
@@ -196,8 +181,7 @@ def main(argv=None) -> int:
         unknown = set(config) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-        scenario = _scenario(config)
-        scenario.validate()
+        scenario = model.ScenarioParams.from_dict(config.get("scenario", {}))
         func, defaults = _COMMANDS[args.command]
         section = _SECTION_NAME.get(args.command, args.command)
         opts = _section(config, section, defaults, args.trials)
