@@ -10,10 +10,10 @@ from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
                                 partial_transpose, pauli_tensor, purity,
                                 state_from_json, state_to_cholesky_angles,
                                 state_to_json)
+from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES as TOMO
 from conftest import (oracle_kron, oracle_negativity, oracle_partial_transpose,
                       random_pure_product, random_separable_state, random_state)
 
-TOMO = tuple((a, b) for a in "XYZ" for b in "XYZ")
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[np.ix_([0, 3], [0, 3])] = 0.5  # |Phi+><Phi+|
 
