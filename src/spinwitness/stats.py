@@ -6,15 +6,19 @@ differential analysis.
 Randomness: every Monte Carlo operation draws trial t from the PCG64 stream
 ``PCG64(SeedSequence([seed, *tags])).jumped(t)``, so trials are independent
 substreams at fixed counter offsets; results are bit-reproducible given
-(seed, trials, N) and independent of evaluation order.
+(seed, trials, N) and independent of evaluation order. Each stream's seed
+words are hashed once per process, and trial t advances a PCG64 seeded with
+them by t jump strides in place, exactly as ``.jumped(t)`` does.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.optimize import brentq
 
 from .model import ScenarioParams, spin_state
@@ -45,11 +49,48 @@ _TAG_ALT = 3
 _TAG_WITNEG = 4
 
 
+#: entries kept by the stream-words and lambda_min caches, oldest evicted first
+_CACHE_SIZE = 256
+
+#: the stride of one ``PCG64.jumped`` step (numpy's ``jump_inplace``)
+_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
+
+
+class _StreamWords(ISeedSequence):
+    """The 4 hashed seed words of one stream, handed to PCG64 as its seed.
+    Any other request raises, so a change in how numpy seeds PCG64 fails
+    loudly instead of moving results."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(f"stream words hold 4 uint64, not {n_words} "
+                               f"{np.dtype(dtype)}")
+        return self.words
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _stream_words(entropy: tuple) -> _StreamWords:
+    words = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return _StreamWords(words)
+
+
 def trial_rng(seed: int, tags, trial: int) -> np.random.Generator:
     """Generator for one Monte Carlo trial: an independent counter-offset
-    substream of the named PCG64 stream."""
-    base = np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, tags)]))
-    return np.random.Generator(base.jumped(trial))
+    substream of the named PCG64 stream, in exactly the state of
+    ``Generator(PCG64(SeedSequence([seed, *tags])).jumped(trial))``.
+
+    The stream's seed words are hashed once per process, and the trial's
+    PCG64 is advanced by ``trial`` jump strides in place. Its ``seed_seq``
+    is therefore a fixed-words sequence that cannot spawn; a generator from
+    ``jumped()`` carries an unrelated OS-entropy ``SeedSequence`` there, so
+    nothing is lost."""
+    bit_gen = np.random.PCG64(_stream_words((int(seed), *map(int, tags))))
+    bit_gen.advance(_JUMP * int(trial))
+    return np.random.Generator(bit_gen)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -171,7 +212,8 @@ _lambda_min_cache: dict = {}
 def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: float,
                trials: int, seed: int) -> float:
     """Decision threshold: empirical (1-alpha) percentile of lambda over
-    ``trials`` data vectors simulated under the null hypothesis."""
+    ``trials`` data vectors simulated under the null hypothesis. A process
+    keeps the last ``_CACHE_SIZE`` distinct thresholds."""
     _check_alpha(alpha)
     if trials < 100:
         raise ValueError("lambda_min needs trials >= 100")
@@ -181,6 +223,8 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
     counts = _draw_counts(p_0, N, seed, (_TAG_NULL, N), trials)
     lam0 = _lambda_batch(counts, p_a, p_0)
     value = float(np.percentile(lam0, 100.0 * (1.0 - alpha)))
+    if len(_lambda_min_cache) >= _CACHE_SIZE:
+        del _lambda_min_cache[next(iter(_lambda_min_cache))]
     _lambda_min_cache[key] = value
     return value
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinwitness import loophole, stats, tomography
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import MeasurementSetup, eigenbasis, expectation
 from spinwitness.stats import (DataVector, ProbabilityVector, _lambda_batch,
@@ -10,8 +11,8 @@ from spinwitness.stats import (DataVector, ProbabilityVector, _lambda_batch,
                                distinction_success_rate, lambda_min,
                                log_likelihood_ratio, match_alpha,
                                outcome_probabilities, simulate_measurements,
-                               success_rate_curve, witness_negative_probability,
-                               write_success_csv)
+                               success_rate_curve, trial_rng,
+                               witness_negative_probability, write_success_csv)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1, \
     w1_expectation_closed_form
 from conftest import random_state
@@ -60,6 +61,55 @@ class TestProbabilityVector:
             pv_from_rows(ZZ, [[0.5, 0.2, 0.2, 0.2]])
         with pytest.raises(ValueError):
             pv_from_rows(ZZ, [[1.1, -0.1, 0.0, 0.0]])
+
+
+def reference_rng(seed, tags, t):
+    """The documented definition of a trial's generator."""
+    seq = np.random.SeedSequence([int(seed), *map(int, tags)])
+    return np.random.Generator(np.random.PCG64(seq).jumped(t))
+
+
+# every tag in use, with the shot count N where the stream is per N
+STREAM_TAGS = [(stats._TAG_SIMULATE,), (stats._TAG_NULL, 100), (stats._TAG_ALT, 33),
+               (stats._TAG_WITNEG, 1000), (tomography._TAG_TOMO_ALT, 1),
+               (tomography._TAG_TOMO_NULL, 1000), (tomography._TAG_FID, 10),
+               (tomography._TAG_FID + 1, 10), (loophole._TAG_RESTART,)]
+RNG_POINTS = [(seed, tags, t) for seed, t in ((0, 0), (3, 1), (95003, 2**40 + 3))
+              for tags in STREAM_TAGS] + [
+    (np.int64(7), (np.int32(stats._TAG_NULL), np.int64(333)), np.int64(12)),
+    (np.uint32(2), (stats._TAG_ALT, 2000), np.uint64(123456)),
+    (2**40, (loophole._TAG_RESTART,), 31),
+]
+
+
+class TestTrialRng:
+    @pytest.mark.parametrize("seed, tags, t", RNG_POINTS)
+    def test_equals_documented_definition(self, seed, tags, t):
+        fast, ref = trial_rng(seed, tags, t), reference_rng(seed, tags, t)
+        assert fast.bit_generator.state == ref.bit_generator.state
+        block = [0.1, 0.2, 0.3, 0.4]
+        assert np.array_equal(fast.multinomial(1000, block), ref.multinomial(1000, block))
+        assert np.array_equal(fast.standard_normal(5), ref.standard_normal(5))
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+    def test_generators_of_one_stream_are_independent(self):
+        a, b = trial_rng(5, (stats._TAG_NULL, 10), 4), trial_rng(5, (stats._TAG_NULL, 10), 4)
+        assert a.bit_generator is not b.bit_generator
+        before = b.bit_generator.state
+        a.standard_normal(100)
+        assert b.bit_generator.state == before
+        assert np.array_equal(b.standard_normal(3),
+                              reference_rng(5, (stats._TAG_NULL, 10), 4).standard_normal(3))
+
+    def test_stream_words_refuse_other_requests(self):
+        words = stats._stream_words((1, stats._TAG_ALT, 10))
+        assert words.generate_state(4, np.uint64).dtype == np.uint64
+        with pytest.raises(RuntimeError):
+            words.generate_state(8, np.uint64)
+        with pytest.raises(RuntimeError):
+            words.generate_state(4, np.uint32)
+        with pytest.raises(RuntimeError):
+            words.generate_state(4)
 
 
 class TestSimulateMeasurements:
@@ -199,6 +249,36 @@ class TestLambdaMin:
             lambda_min(p0, p0, N=1, alpha=0.01, trials=50, seed=0)
         with pytest.raises(ValueError):
             lambda_min(p0, p0, N=1, alpha=1.5, trials=200, seed=0)
+
+
+class TestLambdaMinCache:
+    P0 = pv_from_rows(ZZ, [[0.4, 0.3, 0.2, 0.1]])
+    PA = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
+
+    def test_bounded_with_oldest_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+        alphas = [0.01 + 1e-4 * k for k in range(stats._CACHE_SIZE + 10)]
+        for a in alphas:
+            lambda_min(self.P0, self.PA, N=1, alpha=a, trials=100, seed=2)
+            assert len(stats._lambda_min_cache) <= stats._CACHE_SIZE
+        kept = [key[3] for key in stats._lambda_min_cache]
+        assert kept == alphas[-stats._CACHE_SIZE:]
+
+    def test_repeated_key_returns_identical_float(self, monkeypatch):
+        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+        first = lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=4)
+        assert lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=4) is first
+
+    def test_control_run_reuses_thresholds(self, monkeypatch):
+        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+        kwargs = dict(alpha=0.01, trials=150, seed=8, lambda_trials=1000)
+        distinction_success_rate(P350, W1_OBSERVABLES, [10, 30], **kwargs)
+        calls = []
+        monkeypatch.setattr(stats, "trial_rng",
+                            lambda *args: calls.append(args) or trial_rng(*args))
+        distinction_success_rate(P350, W1_OBSERVABLES, [10, 30], data_from="null",
+                                 **kwargs)
+        assert len(calls) == 2 * 150  # the data draws only, no threshold draws
 
 
 class TestSuccessRates:
