@@ -49,7 +49,8 @@ _TAG_ALT = 3
 _TAG_WITNEG = 4
 
 
-#: entries kept by the stream-words and lambda_min caches, oldest evicted first
+#: entries kept by the stream-words cache (least recently used evicted first)
+#: and by the lambda_min cache (oldest evicted first)
 _CACHE_SIZE = 256
 
 #: the stride of one ``PCG64.jumped`` step (numpy's ``jump_inplace``)
