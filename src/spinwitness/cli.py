@@ -89,7 +89,7 @@ def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
     scale = stats.match_alpha(p, tau)
     report = stats.differential_success_rate(
         p, opts["shots_per_observable"], float(opts["alpha"]),
-        int(opts["trials"]), seed, lambda_trials=int(opts["lambda_trials"]), tau=tau)
+        int(opts["trials"]), seed, lambda_trials=int(opts["lambda_trials"]))
     stats.write_success_csv(report, out / "differential.csv")
     (out / "differential_meta.json").write_text(json.dumps(
         {"tau_s": float(_G(tau)), "matched_cp_scale": float(_G(scale))}))
@@ -97,19 +97,17 @@ def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
 
 def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     trials = int(opts["trials"])
-    tau = witnesses.optimal_fall_time(p, witnesses.w1()).tau
     with open(out / "tomo_exceedance.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["total_shots", "rate", "trials", "gamma", "d_m"])
         for total in opts["totals"]:
-            rate = tomography.negativity_exceedance(p, int(total), trials, seed,
-                                                    tau=tau)
+            rate = tomography.negativity_exceedance(p, int(total), trials, seed)
             writer.writerow([int(total), _G(rate), trials,
                              _G(p.dephasing_gamma), _G(p.separation_d)])
     shots = int(opts["batch_shots"])
     for hyp in ("alt", "null"):
         negs, fids = tomography.reconstruction_batch(
-            p, shots, int(opts["batch_trials"]), seed, hypothesis=hyp, tau=tau)
+            p, shots, int(opts["batch_trials"]), seed, hypothesis=hyp)
         tomography.write_batch_csv(out / f"tomo_batch_{hyp}.csv", shots, hyp,
                                    negs, fids)
 

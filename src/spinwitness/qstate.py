@@ -161,11 +161,11 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def _psd_sqrt(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Matrix square root via eigendecomposition, clamping eigenvalues in
-    [-tol, 0) to zero; one matrix or a stack of shape (..., 4, 4)."""
+    [-1e-9, 0) to zero; one matrix or a stack of shape (..., 4, 4)."""
     w, v = np.linalg.eigh(rho)
-    if w.min() < -tol:
+    if w.min() < -1e-9:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
@@ -261,11 +261,11 @@ def cholesky_to_state(angles) -> np.ndarray:
     return L @ L.conj().swapaxes(-1, -2)
 
 
-def state_to_cholesky_angles(rho: np.ndarray, floor: float = 1e-12) -> CholeskyAngles:
-    """Angle coordinates whose state reproduces ``rho`` (up to the ``floor``
-    regularisation needed to Cholesky-factor rank-deficient states)."""
+def state_to_cholesky_angles(rho: np.ndarray) -> CholeskyAngles:
+    """Angle coordinates whose state reproduces ``rho`` (up to the 1e-12
+    eigenvalue floor needed to Cholesky-factor rank-deficient states)."""
     w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    w = np.clip(w, floor, None)
+    w = np.clip(w, 1e-12, None)
     reg = (v * w) @ v.conj().T
     reg /= np.real(np.trace(reg))
     L = np.linalg.cholesky(reg)
@@ -281,22 +281,22 @@ def state_to_cholesky_angles(rho: np.ndarray, floor: float = 1e-12) -> CholeskyA
     return CholeskyAngles(thetas, phis)
 
 
-def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                         trace_tol: float = 1e-10, psd_tol: float = 1e-9) -> None:
-    """Raise ValueError unless ``rho`` is a valid two-qubit state."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless ``rho`` is a valid two-qubit state: Hermitian
+    to 1e-12, unit trace to 1e-10 and PSD to 1e-9."""
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("state has non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
+    if herm > 1e-12:
         raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"trace is {tr:.12g}, not 1")
     lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if lo < -psd_tol:
+    if lo < -1e-9:
         raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
 
 

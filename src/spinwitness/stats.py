@@ -277,30 +277,29 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     return rates, lmins
 
 
-def hypothesis_probabilities(p: ScenarioParams, observables, tau: float | None = None):
+def hypothesis_probabilities(p: ScenarioParams, observables):
     """Outcome probabilities of the alternative (gravity on) and null
-    (gravity off) states at the alternative's optimal fall time."""
-    if tau is None:
-        tau = optimal_fall_time(p, w1()).tau
+    (gravity off) states at the alternative's optimal W1 fall time."""
+    tau = optimal_fall_time(p, w1()).tau
     rho_a = spin_state(p.with_hypothesis(True), tau)
     rho_0 = spin_state(p.with_hypothesis(False), tau)
     return (outcome_probabilities(rho_a, observables),
-            outcome_probabilities(rho_0, observables), tau)
+            outcome_probabilities(rho_0, observables))
 
 
 def distinction_success_rate(p: ScenarioParams, observables, shots_per_observable,
                              alpha: float, trials: int, seed: int,
-                             lambda_trials: int = 10000, tau: float | None = None,
+                             lambda_trials: int = 10000,
                              data_from: str = "alt") -> SuccessRateReport:
     """State-distinction success rate for ruling out the gravity-free null
-    hypothesis from repeated Pauli measurements.
+    hypothesis from repeated Pauli measurements at the optimal W1 fall time.
 
     ``data_from`` selects the data-generating state: "alt" (the power of the
     test) or "null" (the false-positive control, which sits at alpha).
     """
     if data_from not in ("alt", "null"):
         raise ValueError("data_from must be 'alt' or 'null'")
-    p_a, p_0, _ = hypothesis_probabilities(p, observables, tau)
+    p_a, p_0 = hypothesis_probabilities(p, observables)
     p_data = p_a if data_from == "alt" else p_0
     rates, lmins = success_rate_curve(p_data, p_a, p_0, shots_per_observable,
                                       alpha, trials, seed, lambda_trials)
@@ -366,13 +365,12 @@ def match_alpha(p: ScenarioParams, tau: float, bracket=(0.0, 4.0)) -> float:
 
 
 def differential_success_rate(p: ScenarioParams, shots_per_observable, alpha: float,
-                              trials: int, seed: int, lambda_trials: int = 10000,
-                              tau: float | None = None) -> SuccessRateReport:
+                              trials: int, seed: int,
+                              lambda_trials: int = 10000) -> SuccessRateReport:
     """Distinction success rate against the hardest gravity-free hypothesis:
-    the null coupling is rescaled so both hypotheses share the same W1
-    expectation, leaving only the per-observable discrepancies."""
-    if tau is None:
-        tau = optimal_fall_time(p, w1()).tau
+    the null coupling is rescaled so both hypotheses share the W1 expectation
+    at its optimal fall time, leaving only the per-observable discrepancies."""
+    tau = optimal_fall_time(p, w1()).tau
     scale = match_alpha(p, tau)
     rho_a = spin_state(p.with_hypothesis(True), tau)
     rho_0 = spin_state(p.with_hypothesis(False, cp_scale=p.cp_scale * scale), tau)

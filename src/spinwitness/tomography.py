@@ -99,13 +99,12 @@ def _check_total(total_shots: int) -> int:
 
 
 def tomographic_success_rate(p: ScenarioParams, totals, alpha: float, trials: int,
-                             seed: int, lambda_trials: int = 10000,
-                             tau: float | None = None) -> SuccessRateReport:
+                             seed: int, lambda_trials: int = 10000) -> SuccessRateReport:
     """Likelihood-ratio distinction on full-tomography data; shots are split
     evenly over the 9 observables, so totals must be multiples of 9."""
     per_obs = [_check_total(int(t)) for t in totals]
     return distinction_success_rate(p, TOMOGRAPHY_OBSERVABLES, per_obs, alpha,
-                                    trials, seed, lambda_trials, tau)
+                                    trials, seed, lambda_trials)
 
 
 def _tomo_counts(rho: np.ndarray, N: int, seed: int, tag: int, trials: int):
@@ -115,43 +114,39 @@ def _tomo_counts(rho: np.ndarray, N: int, seed: int, tag: int, trials: int):
 
 
 def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: int,
-                          seed: int, cfg: MLEConfig = MLEConfig(),
-                          tau: float | None = None) -> float:
+                          seed: int) -> float:
     """Fraction of alternative-hypothesis reconstructions whose negativity
     exceeds the 99th percentile (nearest rank) of the null reconstructions'
     negativities by more than 1e-12: a tie decides for the null, whatever
-    its rounding."""
+    its rounding. Both states are taken at the optimal W1 fall time."""
     N = _check_total(shots_per_tomography)
     setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
-    if tau is None:
-        tau = optimal_fall_time(p, w1()).tau
+    tau = optimal_fall_time(p, w1()).tau
     counts_a = _tomo_counts(spin_state(p.with_hypothesis(True), tau), N, seed,
                             _TAG_TOMO_ALT, trials)
     counts_0 = _tomo_counts(spin_state(p.with_hypothesis(False), tau), N, seed,
                             _TAG_TOMO_NULL, trials)
-    neg_a = negativity(mle_reconstruct(counts_a, setup, cfg))
-    neg_0 = negativity(mle_reconstruct(counts_0, setup, cfg))
+    neg_a = negativity(mle_reconstruct(counts_a, setup))
+    neg_0 = negativity(mle_reconstruct(counts_0, setup))
     threshold = np.sort(neg_0)[int(np.ceil(0.99 * trials)) - 1]
     return float(np.mean(neg_a - threshold > 1e-12))
 
 
 def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: int,
-                         seed: int, hypothesis: str = "alt",
-                         cfg: MLEConfig = MLEConfig(),
-                         tau: float | None = None):
-    """Reconstruct ``trials`` simulated tomographies of one hypothesis state.
+                         seed: int, hypothesis: str = "alt"):
+    """Reconstruct ``trials`` simulated tomographies of one hypothesis state
+    at the optimal W1 fall time.
 
     Returns (negativities, fidelities to the true state), one entry per trial.
     """
     if hypothesis not in ("alt", "null"):
         raise ValueError("hypothesis must be 'alt' or 'null'")
     N = _check_total(shots_per_tomography)
-    if tau is None:
-        tau = optimal_fall_time(p, w1()).tau
+    tau = optimal_fall_time(p, w1()).tau
     rho = spin_state(p.with_hypothesis(hypothesis == "alt"), tau)
     tag = _TAG_FID if hypothesis == "alt" else _TAG_FID + 1
     counts = _tomo_counts(rho, N, seed, tag, trials)
-    rec = mle_reconstruct(counts, MeasurementSetup(TOMOGRAPHY_OBSERVABLES), cfg)
+    rec = mle_reconstruct(counts, MeasurementSetup(TOMOGRAPHY_OBSERVABLES))
     return negativity(rec), fidelity(rec, rho)
 
 

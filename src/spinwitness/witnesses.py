@@ -99,14 +99,14 @@ class OptimalFallTime:
     witnessing: bool
 
 
-def _golden_min(f, lo: float, hi: float, xatol: float):
-    """Golden-section minimization of a unimodal f on [lo, hi]."""
+def _golden_min(f, lo: float, hi: float):
+    """Golden-section minimization of a unimodal f on [lo, hi], to 1e-4."""
     invphi = (np.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xatol:
+    while b - a > 1e-4:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -119,16 +119,16 @@ def _golden_min(f, lo: float, hi: float, xatol: float):
     return x, f(x)
 
 
-def optimal_fall_time(p: ScenarioParams, w: WitnessSpec, tau_max: float | None = None,
-                      grid_points: int = 2000, xatol: float = 1e-4) -> OptimalFallTime:
+def optimal_fall_time(p: ScenarioParams, w: WitnessSpec,
+                      tau_max: float | None = None) -> OptimalFallTime:
     """Fall time minimizing the witness expectation for the alternative
-    (gravity-on) hypothesis: a grid scan refined by golden section.
+    (gravity-on) hypothesis: a 2000-point grid scan refined by golden section.
 
     The default window covers two periods of the separability phase:
     tau_max = 4 pi / (omega_LR + omega_RL).
     """
+    alt = p.with_hypothesis(gravity_on=True)
     if tau_max is None:
-        alt = p.with_hypothesis(gravity_on=True)
         rates = phase_rates(alt)
         total = rates.omega_lr + rates.omega_rl
         if total <= 0:
@@ -136,21 +136,20 @@ def optimal_fall_time(p: ScenarioParams, w: WitnessSpec, tau_max: float | None =
         tau_max = 4 * np.pi / total
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
-    alt = p.with_hypothesis(gravity_on=True)
 
+    grid = np.linspace(0.0, tau_max, 2000)
     if w.terms == w1().terms:
         def f(t):
             return float(w1_expectation_closed_form(alt, float(t)))
+        vals = w1_expectation_closed_form(alt, grid)
     else:
         def f(t):
             return witness_expectation(alt, float(t), w)
-
-    grid = np.linspace(0.0, tau_max, grid_points)
-    vals = np.array([f(t) for t in grid])
+        vals = np.array([f(t) for t in grid])
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    tau, val = _golden_min(f, lo, hi, xatol)
+    hi = grid[min(i + 1, len(grid) - 1)]
+    tau, val = _golden_min(f, lo, hi)
     if vals[i] < val:
         tau, val = grid[i], vals[i]
     return OptimalFallTime(float(tau), float(val), witnessing=val < 0)

@@ -5,7 +5,7 @@ import pytest
 
 from spinwitness.model import ScenarioParams, phase_rates, spin_state
 from spinwitness.qstate import negativity, partial_transpose
-from spinwitness.witnesses import (W1_OBSERVABLES, WitnessScan,
+from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime, WitnessScan,
                                    optimal_fall_time, w0, w1,
                                    w1_expectation_closed_form, w1_threshold,
                                    witness_expectation, witness_scan,
@@ -143,6 +143,58 @@ class TestOptimalFallTime:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             optimal_fall_time(P350, w1(), tau_max=-1.0)
+
+
+def oracle_optimal_fall_time(p, tau_max=None):
+    """The W1 search point by point: 2000 scalar closed-form calls over the
+    grid, then golden section to 1e-4 around the best grid point."""
+    alt = p.with_hypothesis(gravity_on=True)
+    if tau_max is None:
+        rates = phase_rates(alt)
+        tau_max = 4 * np.pi / (rates.omega_lr + rates.omega_rl)
+
+    def f(t):
+        return float(w1_expectation_closed_form(alt, float(t)))
+
+    grid = np.linspace(0.0, tau_max, 2000)
+    vals = np.array([f(t) for t in grid])
+    i = int(np.argmin(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, 1999)]
+    invphi = (np.sqrt(5.0) - 1) / 2
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-4:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    tau = (a + b) / 2
+    val = f(tau)
+    if vals[i] < val:
+        tau, val = grid[i], vals[i]
+    return OptimalFallTime(float(tau), float(val), witnessing=val < 0)
+
+
+class TestOptimalFallTimeOracle:
+    """The one grid call returns exactly what the per-point search returns."""
+
+    @pytest.mark.parametrize("p, tau_max", [
+        (P350, None),  # also the scenario of the golden digests
+        (ScenarioParams(), None),  # the CLI default
+        (dataclasses.replace(P450_GRAV, dephasing_gamma=0.0), 0.05),
+        (dataclasses.replace(P450_GRAV, dephasing_gamma=5.0), 5.0),
+    ])
+    def test_fixed_scenarios(self, p, tau_max):
+        assert optimal_fall_time(p, w1(), tau_max) == oracle_optimal_fall_time(p, tau_max)
+
+    def test_random_scenarios(self, rng):
+        for _ in range(100):
+            p = random_scenario(rng)
+            assert optimal_fall_time(p, w1()) == oracle_optimal_fall_time(p)
 
 
 class TestScan:
