@@ -214,7 +214,8 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
                trials: int, seed: int) -> float:
     """Decision threshold: empirical (1-alpha) percentile of lambda over
     ``trials`` data vectors simulated under the null hypothesis. A process
-    keeps the last ``_CACHE_SIZE`` distinct thresholds."""
+    keeps the last ``_CACHE_SIZE`` distinct thresholds. A NaN percentile,
+    interpolated against an infinite lambda, raises RuntimeError uncached."""
     _check_alpha(alpha)
     if trials < 100:
         raise ValueError("lambda_min needs trials >= 100")
@@ -223,7 +224,11 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
         return _lambda_min_cache[key]
     counts = _draw_counts(p_0, N, seed, (_TAG_NULL, N), trials)
     lam0 = _lambda_batch(counts, p_a, p_0)
-    value = float(np.percentile(lam0, 100.0 * (1.0 - alpha)))
+    with np.errstate(invalid="ignore"):
+        value = float(np.percentile(lam0, 100.0 * (1.0 - alpha)))
+    if math.isnan(value):
+        raise RuntimeError(f"lambda_min at N={N} is NaN: {np.sum(lam0 == -math.inf)} "
+                           f"of {trials} null lambdas are -inf")
     if len(_lambda_min_cache) >= _CACHE_SIZE:
         del _lambda_min_cache[next(iter(_lambda_min_cache))]
     _lambda_min_cache[key] = value

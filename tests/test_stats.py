@@ -243,6 +243,20 @@ class TestLambdaMin:
                   for a in (0.01, 0.05, 0.2, 0.5)]
         assert all(x >= y for x, y in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("N", [8, 10, 20])
+    def test_nan_percentile_raises_uncached(self, N, monkeypatch):
+        # most null datasets hit an outcome impossible under the alternative:
+        # the 99th percentile interpolates between -inf values and is NaN,
+        # against which no lambda (here every one is 2 N ln 2) would succeed
+        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+        p0 = pv_from_rows((("X", "X"),), [[0.25] * 4])
+        pa = pv_from_rows((("X", "X"),), [[0.5, 0.5, 0.0, 0.0]])
+        with pytest.raises(RuntimeError, match=f"N={N} is NaN"):
+            lambda_min(p0, pa, N=N, alpha=0.01, trials=1000, seed=0)
+        with pytest.raises(RuntimeError):
+            success_rate_curve(pa, pa, p0, [N], 0.01, 100, 0, lambda_trials=1000)
+        assert stats._lambda_min_cache == {}
+
     def test_requires_enough_trials(self):
         p0 = pv_from_rows(ZZ, [[0.25] * 4])
         with pytest.raises(ValueError):
