@@ -181,9 +181,10 @@ def log_likelihood_ratio(n: DataVector, p_a: ProbabilityVector,
                          p_0: ProbabilityVector) -> float:
     """lambda = 2 sum n_ij (log p_a,ij - log p_0,ij).
 
-    An observed outcome that is impossible under exactly one hypothesis is
-    infinite evidence: returns +inf (impossible under the null) or -inf
-    (impossible under the alternative). Impossible under both raises.
+    Data that are impossible under exactly one hypothesis (an observed
+    outcome of probability 0) are infinite evidence: returns +inf
+    (impossible under the null) or -inf (impossible under the alternative).
+    Data impossible under both raise, whether one outcome or two make them so.
     """
     return float(_lambda_batch(n.counts[None], p_a, p_0)[0])
 
@@ -197,13 +198,13 @@ def _lambda_batch(counts: np.ndarray, p_a: ProbabilityVector,
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.log(pa) - np.log(p0)
     active = flat > 0
-    dead_a = active & (pa <= 0.0)
-    dead_0 = active & (p0 <= 0.0)
+    dead_a = (active & (pa <= 0.0)).any(axis=1)
+    dead_0 = (active & (p0 <= 0.0)).any(axis=1)
     if np.any(dead_a & dead_0):
-        raise ValueError("observed outcome impossible under both hypotheses")
+        raise ValueError("observed data impossible under both hypotheses")
     out = 2.0 * (flat @ np.where(np.isfinite(weight), weight, 0.0))
-    out[dead_0.any(axis=1)] = math.inf
-    out[dead_a.any(axis=1)] = -math.inf
+    out[dead_0] = math.inf
+    out[dead_a] = -math.inf
     return out
 
 

@@ -2,6 +2,13 @@
 paths they check."""
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests: the same examples on every run, no example database written
+# into the checkout, and no per-example deadline on a busy shared host
+settings.register_profile("spinwitness", database=None, deadline=None,
+                          derandomize=True)
+settings.load_profile("spinwitness")
 
 # independent Pauli literals for oracle-side computations
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

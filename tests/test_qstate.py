@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
                                 check_density_matrix,
@@ -136,6 +138,27 @@ class TestNegativity:
         value = negativity(rho)
         assert isinstance(value, float)
         assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+    @given(st.integers(1, 4).flatmap(
+               lambda rank: st.lists(st.floats(-1, 1), min_size=8 * rank,
+                                     max_size=8 * rank)),
+           st.lists(st.floats(-np.pi, np.pi), min_size=8, max_size=8))
+    def test_invariant_under_local_unitaries(self, entries, angles):
+        a = np.reshape(entries, (2, 4, -1))
+        a = a[0] + 1j * a[1]
+        rho = a @ a.conj().T
+        assume(np.trace(rho).real > 1e-6)
+        rho /= np.trace(rho).real
+
+        def unitary(phase, alpha, beta, gamma):  # e^{i phase} Rz Ry Rz
+            rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+            ry = np.array([[np.cos(beta / 2), -np.sin(beta / 2)],
+                           [np.sin(beta / 2), np.cos(beta / 2)]])
+            return np.exp(1j * phase) * rz(alpha) @ ry @ rz(gamma)
+
+        uv = np.kron(unitary(*angles[:4]), unitary(*angles[4:]))
+        rotated = uv @ rho @ uv.conj().T
+        assert abs(negativity(rotated) - negativity(rho)) <= 1e-12
 
     def test_stack_equals_loop_over_states(self, rng):
         stack = np.array([[random_state(rng, rank=r) for r in (1, 2, 3, 4)]

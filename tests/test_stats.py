@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinwitness import loophole, stats, tomography
 from spinwitness.model import ScenarioParams, spin_state
@@ -194,6 +196,15 @@ class TestLogLikelihoodRatio:
         with pytest.raises(ValueError):
             log_likelihood_ratio(data, p0, p0)
 
+    def test_data_impossible_under_both_by_two_outcomes_raises(self):
+        # outcome 1 rules out the alternative, outcome 3 the null
+        pa = pv_from_rows(ZZ, [[0.0, 0.0, 0.0, 1.0]])
+        p0 = pv_from_rows(ZZ, [[0.0, 1.0, 0.0, 0.0]])
+        data = DataVector(np.array([[0, 1, 0, 1]]), 2)
+        for a, b in ((pa, p0), (p0, pa)):
+            with pytest.raises(ValueError):
+                log_likelihood_ratio(data, a, b)
+
     def test_equals_batch_row_including_infinite_evidence(self, rng):
         # one function: the scalar is the batch on one row; rows of a larger
         # batch may differ in the last bit (the matrix-vector product)
@@ -215,6 +226,39 @@ class TestLogLikelihoodRatio:
                 assert one == _lambda_batch(row[None], a, b)[0]
                 assert one == pytest.approx(lam, rel=1e-12, abs=1e-12)
         assert list(_lambda_batch(cases[0][0], pa, p0)[1:3]) == [math.inf, -math.inf]
+
+
+@st.composite
+def llr_cases(draw):
+    """Counts of N shots on 1-3 observables and two probability vectors whose
+    outcomes may be impossible (probability 0) under either hypothesis."""
+    observables = W1_OBSERVABLES[:draw(st.integers(1, 3))]
+    N = draw(st.integers(1, 30))
+    counts = [np.diff([0, *sorted(draw(st.lists(st.integers(0, N), min_size=3,
+                                                 max_size=3))), N])
+              for _ in observables]
+
+    def pv():
+        rows = [draw(st.lists(st.integers(0, 5), min_size=4, max_size=4)
+                     .filter(any)) for _ in observables]
+        return pv_from_rows(observables, [np.divide(r, sum(r)) for r in rows])
+
+    return DataVector(np.array(counts), N), pv(), pv()
+
+
+class TestLambdaProperties:
+    @given(llr_cases())
+    def test_swapping_hypotheses_negates_lambda(self, case):
+        # exactly, with +inf and -inf swapping; data impossible under both
+        # hypotheses raise either way round
+        n, p_a, p_0 = case
+        try:
+            lam = log_likelihood_ratio(n, p_a, p_0)
+        except ValueError:
+            with pytest.raises(ValueError):
+                log_likelihood_ratio(n, p_0, p_a)
+            return
+        assert log_likelihood_ratio(n, p_0, p_a) == -lam
 
 
 class TestLambdaMin:
