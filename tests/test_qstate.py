@@ -150,8 +150,10 @@ class TestNegativity:
         assume(np.trace(rho).real > 1e-6)
         rho /= np.trace(rho).real
 
+        def rz(t):
+            return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
         def unitary(phase, alpha, beta, gamma):  # e^{i phase} Rz Ry Rz
-            rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
             ry = np.array([[np.cos(beta / 2), -np.sin(beta / 2)],
                            [np.sin(beta / 2), np.cos(beta / 2)]])
             return np.exp(1j * phase) * rz(alpha) @ ry @ rz(gamma)
