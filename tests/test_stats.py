@@ -195,15 +195,13 @@ class TestLogLikelihoodRatio:
         assert log_likelihood_ratio(data, p0, pa) == -math.inf
         with pytest.raises(ValueError):
             log_likelihood_ratio(data, p0, p0)
-
-    def test_data_impossible_under_both_by_two_outcomes_raises(self):
-        # outcome 1 rules out the alternative, outcome 3 the null
-        pa = pv_from_rows(ZZ, [[0.0, 0.0, 0.0, 1.0]])
-        p0 = pv_from_rows(ZZ, [[0.0, 1.0, 0.0, 0.0]])
-        data = DataVector(np.array([[0, 1, 0, 1]]), 2)
-        for a, b in ((pa, p0), (p0, pa)):
+        # outcome 1 rules out the first hypothesis, outcome 3 the second
+        rules_out_both = DataVector(np.array([[0, 1, 0, 1]]), 2)
+        pb = pv_from_rows(ZZ, [[0.0, 0.0, 0.0, 1.0]])
+        pc = pv_from_rows(ZZ, [[0.0, 1.0, 0.0, 0.0]])
+        for a, b in ((pb, pc), (pc, pb)):
             with pytest.raises(ValueError):
-                log_likelihood_ratio(data, a, b)
+                log_likelihood_ratio(rules_out_both, a, b)
 
     def test_equals_batch_row_including_infinite_evidence(self, rng):
         # one function: the scalar is the batch on one row; rows of a larger
