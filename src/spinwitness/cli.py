@@ -1,5 +1,6 @@
 """Command-line driver: binds JSON configuration to the analysis pipelines
-and writes figure/table data as CSV/JSON.
+and writes every output file (figure/table data as CSV/JSON); the library
+modules only return results.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -42,17 +43,37 @@ def _section(config: dict, name: str, defaults: dict, trials_override) -> dict:
     return opts
 
 
-def cmd_pea(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
-    taus = opts["taus"]
-    with open(out / "pea.csv", "w", newline="") as fh:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One output table: the header line, then one line per row, each float
+    already formatted by _G."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["tau_s", "theta_magnitude", "phase_correction_rad",
-                         "factor_zero_temperature", "factor_thermal", "kappa"])
-        for tau in taus:
-            r = model.pea_corrections(p, float(tau))
-            writer.writerow([_G(tau), _G(r.theta_magnitude), _G(r.phase_correction),
-                             _G(r.decoherence_factor_zeroT),
-                             _G(r.decoherence_factor_thermal), _G(r.kappa)])
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
+def _write_scan(path: Path, scan: witnesses.WitnessScan) -> None:
+    _write_csv(path, "tau_s,value,gamma",
+               ([_G(t), _G(v), _G(scan.gamma)] for t, v in zip(scan.taus, scan.values)))
+
+
+def _write_rates(path: Path, report: stats.SuccessRateReport,
+                 p: model.ScenarioParams, opts: dict) -> None:
+    tail = [int(opts["trials"]), _G(p.dephasing_gamma), _G(p.separation_d)]
+    _write_csv(path, "total_measurements,rate,lambda_min,trials,gamma,d_m",
+               ([n, _G(rate), _G(lmin), *tail] for n, rate, lmin in
+                zip(report.shots_axis, report.rates, report.lambda_min_used)))
+
+
+def cmd_pea(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
+    rows = []
+    for tau in opts["taus"]:
+        r = model.pea_corrections(p, float(tau))
+        rows.append([_G(x) for x in (tau, r.theta_magnitude, r.phase_correction,
+                                     r.decoherence_factor_zeroT,
+                                     r.decoherence_factor_thermal, r.kappa)])
+    _write_csv(out / "pea.csv", "tau_s,theta_magnitude,phase_correction_rad,"
+               "factor_zero_temperature,factor_thermal,kappa", rows)
 
 
 def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
@@ -61,12 +82,11 @@ def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
         pg = replace(p, dephasing_gamma=float(gamma))
         tag = _G(gamma)
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
-            scan = witnesses.witness_scan(pg, w, taus)
-            witnesses.write_scan_csv(scan, out / f"witness_{name}_gamma{tag}.csv")
+            _write_scan(out / f"witness_{name}_gamma{tag}.csv",
+                        witnesses.witness_scan(pg, w, taus))
         negs = np.array([negativity(model.spin_state(pg, t)) for t in taus])
-        witnesses.write_scan_csv(
-            witnesses.WitnessScan(taus, negs, pg.dephasing_gamma),
-            out / f"negativity_gamma{tag}.csv")
+        _write_scan(out / f"negativity_gamma{tag}.csv",
+                    witnesses.WitnessScan(taus, negs, pg.dephasing_gamma))
 
 
 def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
@@ -75,13 +95,13 @@ def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> No
         float(opts["alpha"]), int(opts["trials"]), seed,
         lambda_trials=int(opts["lambda_trials"]),
         data_from="null" if opts["control"] else "alt")
-    stats.write_success_csv(report, out / "success.csv")
+    _write_rates(out / "success.csv", report, p, opts)
 
 
 def cmd_witneg(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     report = stats.witness_negative_probability(
         p, opts["shots_per_observable"], int(opts["trials"]), seed)
-    stats.write_success_csv(report, out / "witneg.csv")
+    _write_rates(out / "witneg.csv", report, p, opts)
 
 
 def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
@@ -90,26 +110,26 @@ def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
     report = stats.differential_success_rate(
         p, opts["shots_per_observable"], float(opts["alpha"]),
         int(opts["trials"]), seed, lambda_trials=int(opts["lambda_trials"]))
-    stats.write_success_csv(report, out / "differential.csv")
+    _write_rates(out / "differential.csv", report, p, opts)
     (out / "differential_meta.json").write_text(json.dumps(
         {"tau_s": float(_G(tau)), "matched_cp_scale": float(_G(scale))}))
 
 
 def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     trials = int(opts["trials"])
-    with open(out / "tomo_exceedance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["total_shots", "rate", "trials", "gamma", "d_m"])
-        for total in opts["totals"]:
-            rate = tomography.negativity_exceedance(p, int(total), trials, seed)
-            writer.writerow([int(total), _G(rate), trials,
-                             _G(p.dephasing_gamma), _G(p.separation_d)])
+    rows = []
+    for total in map(int, opts["totals"]):
+        rate = tomography.negativity_exceedance(p, total, trials, seed)
+        rows.append([total, _G(rate), trials, _G(p.dephasing_gamma), _G(p.separation_d)])
+    _write_csv(out / "tomo_exceedance.csv", "total_shots,rate,trials,gamma,d_m", rows)
     shots = int(opts["batch_shots"])
     for hyp in ("alt", "null"):
         negs, fids = tomography.reconstruction_batch(
             p, shots, int(opts["batch_trials"]), seed, hypothesis=hyp)
-        tomography.write_batch_csv(out / f"tomo_batch_{hyp}.csv", shots, hyp,
-                                   negs, fids)
+        _write_csv(out / f"tomo_batch_{hyp}.csv",
+                   "shots,hypothesis,trial,negativity,fidelity_to_truth",
+                   ([shots, hyp, t, _G(neg), _G(fid)]
+                    for t, (neg, fid) in enumerate(zip(negs, fids))))
 
 
 def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
@@ -125,10 +145,16 @@ def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> N
         gradient_step=float(opts["gradient_step"]),
         constraint_margin=float(opts["constraint_margin"]),
         restarts=int(opts["restarts"]))
-    result = lh.find_loophole_state(data, rho_0, cfg, seed, rho_reference=rho_a)
+    result = lh.find_loophole_state(data, rho_0, cfg, seed)
     verification = lh.verify_loophole(result, rho_a, rho_0, data)
-    payload = json.loads(lh.result_to_json(result))
-    payload["verification"] = {**asdict(verification), "passed": verification.passed}
+    payload = {
+        "state": {"re": result.state.real.tolist(), "im": result.state.imag.tolist()},
+        "nll": result.nll,
+        "negativity": result.negativity,
+        "constraint_satisfied": result.constraint_satisfied,
+        "nll_reference": verification.nll_rho_a,
+        "verification": {**asdict(verification), "passed": verification.passed},
+    }
     (out / "loophole.json").write_text(json.dumps(payload, indent=2))
 
 

@@ -3,7 +3,6 @@ negative-log-likelihood minimization over the Cholesky-angle parametrization
 of the two-qubit state space."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "state_neg_log_likelihood",
     "find_loophole_state",
     "verify_loophole",
-    "result_to_json",
 ]
 
 _TAG_RESTART = 21
@@ -66,7 +64,6 @@ class LoopholeResult:
     nll: float
     negativity: float
     constraint_satisfied: bool
-    nll_reference: float
     restart_errors: tuple = ()
 
 
@@ -160,8 +157,7 @@ class _Search:
 
 def find_loophole_state(n: DataVector, rho_null: np.ndarray,
                         cfg: OptimizationConfig = OptimizationConfig(),
-                        seed: int = 0, observables=W1_OBSERVABLES,
-                        rho_reference: np.ndarray | None = None) -> LoopholeResult:
+                        seed: int = 0, observables=W1_OBSERVABLES) -> LoopholeResult:
     """Minimize the negative log-likelihood over the 15 Cholesky angles
     subject to negativity(state) <= negativity(rho_null) - margin.
 
@@ -199,13 +195,10 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
             f"negativity <= {neg_cap:.6g} (null {negativity(rho_null):.6g}, "
             f"margin {cfg.constraint_margin:g}); {len(errors)} restarts raised")
 
-    nll_ref = math.nan
-    if rho_reference is not None:
-        nll_ref = state_neg_log_likelihood(rho_reference, n, observables)
     nll, neg, angles = search.best
     return LoopholeResult(state=cholesky_to_state(angles), nll=nll,
                           negativity=neg, constraint_satisfied=True,
-                          nll_reference=nll_ref, restart_errors=tuple(errors))
+                          restart_errors=tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -257,14 +250,3 @@ def verify_loophole(result: LoopholeResult, rho_a: np.ndarray,
         likelihood_ok=nll_res <= nll_a,
         state_ok=state_ok,
         reference_state_ok=_reference_state_ok())
-
-
-def result_to_json(result: LoopholeResult) -> str:
-    rho = np.asarray(result.state, dtype=complex)
-    return json.dumps({
-        "state": {"re": rho.real.tolist(), "im": rho.imag.tolist()},
-        "nll": result.nll,
-        "negativity": result.negativity,
-        "constraint_satisfied": result.constraint_satisfied,
-        "nll_reference": result.nll_reference,
-    })

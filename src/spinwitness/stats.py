@@ -12,7 +12,6 @@ them by t jump strides in place, exactly as ``.jumped(t)`` does.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ __all__ = [
     "match_alpha",
     "differential_success_rate",
     "trial_rng",
-    "write_success_csv",
 ]
 
 # substream tags: one per data-generating role
@@ -242,26 +240,11 @@ class SuccessRateReport:
 
     shots_axis: tuple
     rates: tuple
-    trials: int
     lambda_min_used: tuple
-    gamma: float
-    d_m: float
 
     def __post_init__(self):
         if not len(self.shots_axis) == len(self.rates) == len(self.lambda_min_used):
             raise ValueError("axis, rates and lambda_min_used must have equal length")
-
-
-def write_success_csv(report: SuccessRateReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["total_measurements", "rate", "lambda_min", "trials",
-                         "gamma", "d_m"])
-        for tot, rate, lmin in zip(report.shots_axis, report.rates,
-                                   report.lambda_min_used):
-            writer.writerow([tot, f"{rate:.12g}", f"{lmin:.12g}",
-                             report.trials, f"{report.gamma:.12g}",
-                             f"{report.d_m:.12g}"])
 
 
 def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
@@ -312,8 +295,7 @@ def distinction_success_rate(p: ScenarioParams, observables, shots_per_observabl
     n_obs = len(observables)
     return SuccessRateReport(
         shots_axis=tuple(n_obs * int(N) for N in shots_per_observable),
-        rates=tuple(rates), trials=trials, lambda_min_used=tuple(lmins),
-        gamma=p.dephasing_gamma, d_m=p.separation_d)
+        rates=tuple(rates), lambda_min_used=tuple(lmins))
 
 
 def witness_negative_probability(p: ScenarioParams, shots_per_observable,
@@ -336,9 +318,7 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
         rates.append(float(np.mean(estimate < 0.0)))
     return SuccessRateReport(
         shots_axis=tuple(3 * int(N) for N in shots_per_observable),
-        rates=tuple(rates), trials=trials,
-        lambda_min_used=tuple(math.nan for _ in rates),
-        gamma=p.dephasing_gamma, d_m=p.separation_d)
+        rates=tuple(rates), lambda_min_used=tuple(math.nan for _ in rates))
 
 
 def match_alpha(p: ScenarioParams, tau: float, bracket=(0.0, 4.0)) -> float:
@@ -386,5 +366,4 @@ def differential_success_rate(p: ScenarioParams, shots_per_observable, alpha: fl
                                       alpha, trials, seed, lambda_trials)
     return SuccessRateReport(
         shots_axis=tuple(3 * int(N) for N in shots_per_observable),
-        rates=tuple(rates), trials=trials, lambda_min_used=tuple(lmins),
-        gamma=p.dephasing_gamma, d_m=p.separation_d)
+        rates=tuple(rates), lambda_min_used=tuple(lmins))

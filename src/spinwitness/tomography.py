@@ -3,7 +3,6 @@ counts, one data set or a stack of them, and tomography-based distinction
 statistics."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "tomographic_success_rate",
     "negativity_exceedance",
     "reconstruction_batch",
-    "write_batch_csv",
 ]
 
 #: the 9 informationally complete pairs with both factors in X/Y/Z
@@ -148,12 +146,3 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     counts = _tomo_counts(rho, N, seed, tag, trials)
     rec = mle_reconstruct(counts, MeasurementSetup(TOMOGRAPHY_OBSERVABLES))
     return negativity(rec), fidelity(rec, rho)
-
-
-def write_batch_csv(path, shots: int, hypothesis: str, negativities, fidelities) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shots", "hypothesis", "trial", "negativity",
-                         "fidelity_to_truth"])
-        for t, (neg, fid) in enumerate(zip(negativities, fidelities)):
-            writer.writerow([shots, hypothesis, t, f"{neg:.12g}", f"{fid:.12g}"])

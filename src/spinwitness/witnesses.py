@@ -2,7 +2,6 @@
 optimal free-fall time."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "w1_threshold",
     "optimal_fall_time",
     "witness_scan",
-    "write_scan_csv",
 ]
 
 #: the three Pauli pairs measured for the short-time witness
@@ -179,11 +177,3 @@ def witness_scan(p: ScenarioParams, w: WitnessSpec, taus) -> WitnessScan:
     taus = np.asarray(taus, dtype=float)
     vals = np.array([witness_expectation(p, t, w) for t in taus])
     return WitnessScan(taus, vals, p.dephasing_gamma)
-
-
-def write_scan_csv(scan: WitnessScan, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_s", "value", "gamma"])
-        for t, v in zip(scan.taus, scan.values):
-            writer.writerow([f"{t:.12g}", f"{v:.12g}", f"{scan.gamma:.12g}"])

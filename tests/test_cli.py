@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from spinwitness.cli import main
+from spinwitness.qstate import check_density_matrix, negativity
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -66,6 +68,17 @@ class TestScan:
             assert float(w0_first[1]) == pytest.approx(1.0, abs=1e-10)
             assert float(w1_first[1]) == pytest.approx(0.0, abs=1e-10)
 
+    def test_scan_csv_schema(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": SMALL_SCENARIO,
+            "scan": {"gammas": [0.3], "tau_max": 5.0, "points": 6}})
+        out = tmp_path / "scan"
+        assert run(["scan-witness", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "witness_w1_gamma0.3.csv").read_text().splitlines()
+        assert lines[0] == "tau_s,value,gamma"
+        assert len(lines) == 7
+        assert lines[1] == "0,0,0.3"
+
 
 class TestMonteCarloCommands:
     def test_success_and_reproducibility(self, tmp_path):
@@ -80,6 +93,19 @@ class TestMonteCarloCommands:
                     "--out", str(out2)]) == 0
         assert (out1 / "success.csv").read_bytes() == \
             (out2 / "success.csv").read_bytes()
+
+    def test_success_csv_schema(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": {"dephasing_gamma": 0.03},
+            "success": {"shots_per_observable": [30], "alpha": 0.01,
+                        "trials": 200, "lambda_trials": 1000}})
+        out = tmp_path / "s"
+        assert run(["success", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+        lines = (out / "success.csv").read_text().splitlines()
+        assert lines[0] == "total_measurements,rate,lambda_min,trials,gamma,d_m"
+        assert len(lines) == 2
+        assert lines[1].startswith("90,")
+        assert lines[1].endswith(",200,0.03,0.00045")
 
     def test_control_mode_flat_at_alpha(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -122,6 +148,18 @@ class TestMonteCarloCommands:
         assert (out / "tomo_batch_alt.csv").exists()
         assert (out / "tomo_batch_null.csv").exists()
 
+    def test_batch_csv_schema(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": {"dephasing_gamma": 0.03},
+            "tomo": {"totals": [9], "trials": 100, "batch_shots": 90,
+                     "batch_trials": 10}})
+        out = tmp_path / "t"
+        assert run(["tomo", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+        lines = (out / "tomo_batch_alt.csv").read_text().splitlines()
+        assert lines[0] == "shots,hypothesis,trial,negativity,fidelity_to_truth"
+        assert len(lines) == 11
+        assert lines[1].startswith("90,alt,0,")
+
     def test_loophole(self, tmp_path):
         cfg = write_config(tmp_path, {
             "scenario": SMALL_SCENARIO,
@@ -130,6 +168,14 @@ class TestMonteCarloCommands:
         assert run(["loophole", "--config", cfg, "--seed", "1",
                     "--out", str(out)]) == 0
         payload = json.loads((out / "loophole.json").read_text())
+        verification = payload["verification"]
+        assert list(payload) == ["state", "nll", "negativity", "constraint_satisfied",
+                                 "nll_reference", "verification"]
+        assert payload["nll_reference"] == verification["nll_rho_a"]
+        state = np.array(payload["state"]["re"]) + 1j * np.array(payload["state"]["im"])
+        check_density_matrix(state)
+        assert negativity(state) == verification["negativity_result"]
+        assert payload["negativity"] == pytest.approx(verification["negativity_result"])
         assert payload["constraint_satisfied"] is True
         assert payload["negativity"] < payload["verification"]["negativity_null"]
         assert payload["verification"]["negativity_null"] == pytest.approx(0.108,
@@ -184,6 +230,8 @@ class TestErrors:
                                                "batch_shots": 90,
                                                "batch_trials": 5}})
         assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        # a table is written only once all its rows are computed
+        assert not (tmp_path / "x" / "tomo_exceedance.csv").exists()
 
     def test_infeasible_loophole_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -14,7 +14,7 @@ from spinwitness.stats import (DataVector, ProbabilityVector, _lambda_batch,
                                log_likelihood_ratio, match_alpha,
                                outcome_probabilities, simulate_measurements,
                                success_rate_curve, trial_rng,
-                               witness_negative_probability, write_success_csv)
+                               witness_negative_probability)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1, \
     w1_expectation_closed_form
 from conftest import random_state
@@ -356,15 +356,6 @@ class TestSuccessRates:
         a = distinction_success_rate(P350, W1_OBSERVABLES, [30, 100], **kwargs)
         b = distinction_success_rate(P350, W1_OBSERVABLES, [30, 100], **kwargs)
         assert a == b
-
-    def test_csv_schema(self, tmp_path):
-        rep = distinction_success_rate(P450, W1_OBSERVABLES, [30], alpha=0.01,
-                                       trials=200, seed=5, lambda_trials=1000)
-        path = tmp_path / "rates.csv"
-        write_success_csv(rep, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "total_measurements,rate,lambda_min,trials,gamma,d_m"
-        assert lines[1].startswith("90,")
 
     def test_data_from_validation(self):
         with pytest.raises(ValueError):

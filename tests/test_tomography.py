@@ -9,7 +9,7 @@ from spinwitness.stats import (DataVector, distinction_success_rate,
 from spinwitness.tomography import (MLEConfig, TOMOGRAPHY_OBSERVABLES,
                                     mle_reconstruct, negativity_exceedance,
                                     r_operator, reconstruction_batch,
-                                    tomographic_success_rate, write_batch_csv)
+                                    tomographic_success_rate)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
 from conftest import random_state
 
@@ -210,12 +210,3 @@ class TestDistinction:
         rate = negativity_exceedance(P450, 900, trials=200, seed=6)
         assert 0.0 <= rate <= 1.0
 
-
-def test_batch_csv_schema(tmp_path):
-    negs, fids = reconstruction_batch(P450, 90, 10, seed=2, hypothesis="alt")
-    path = tmp_path / "batch.csv"
-    write_batch_csv(path, 90, "alt", negs, fids)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "shots,hypothesis,trial,negativity,fidelity_to_truth"
-    assert len(lines) == 11
-    assert lines[1].startswith("90,alt,0,")

@@ -8,8 +8,7 @@ from spinwitness.qstate import negativity, partial_transpose
 from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime, WitnessScan,
                                    optimal_fall_time, w0, w1,
                                    w1_expectation_closed_form, w1_threshold,
-                                   witness_expectation, witness_scan,
-                                   write_scan_csv)
+                                   witness_expectation, witness_scan)
 from conftest import oracle_kron, random_scenario, random_separable_state, random_state
 
 P450_GRAV = ScenarioParams(cp_scale=0.0)
@@ -198,16 +197,11 @@ class TestOptimalFallTimeOracle:
 
 
 class TestScan:
-    def test_scan_values_and_csv(self, tmp_path):
+    def test_scan_values(self):
         taus = np.linspace(0.0, 5.0, 6)
         scan = witness_scan(P350, w1(), taus)
         assert scan.gamma == 0.3
         assert scan.values[0] == pytest.approx(0.0, abs=1e-12)
-        path = tmp_path / "scan.csv"
-        write_scan_csv(scan, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "tau_s,value,gamma"
-        assert len(lines) == 7
 
     def test_requires_increasing_taus(self):
         with pytest.raises(ValueError):
