@@ -150,7 +150,7 @@ def optimal_fall_time(p: ScenarioParams, w: WitnessSpec,
     tau, val = _golden_min(f, lo, hi)
     if vals[i] < val:
         tau, val = grid[i], vals[i]
-    return OptimalFallTime(float(tau), float(val), witnessing=val < 0)
+    return OptimalFallTime(float(tau), float(val), witnessing=bool(val < 0))
 
 
 @dataclass(frozen=True)

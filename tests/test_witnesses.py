@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -132,6 +133,9 @@ class TestOptimalFallTime:
         assert opt.tau == pytest.approx(0.05, abs=1e-3)
         assert opt.expectation == pytest.approx(
             w1_expectation_closed_form(p, opt.tau), abs=1e-12)
+        # the grid point wins here, and the flag is still a plain bool
+        assert type(opt.witnessing) is bool
+        json.dumps(dataclasses.asdict(opt))
 
     def test_non_witnessing_flag(self):
         p = dataclasses.replace(P450_GRAV, dephasing_gamma=5.0)
