@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
                                 check_density_matrix,
@@ -318,6 +319,25 @@ class TestCholesky:
                 one = cholesky_to_state(CholeskyAngles.from_vector(x[i, k]))
                 assert np.array_equal(stack[i, k], one)
                 assert np.array_equal(cholesky_to_state(x[i, k]), one)
+
+
+@given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3).flatmap(
+    lambda lead: hnp.arrays(float, lead + (15,), elements=st.floats(-4, 4))))
+def test_stack_equals_loop(angles):
+    """Each (..., 4, 4) function gives every state of a stack, whatever its
+    leading shape, the bits of the call on that state alone."""
+    setup = MeasurementSetup(TOMO)
+    rho = cholesky_to_state(angles)
+    sigma = cholesky_to_state(angles[..., ::-1])
+    stacked = (rho, partial_transpose(rho), negativity(rho), fidelity(rho, sigma),
+               setup.probabilities(rho))
+    for idx in np.ndindex(angles.shape[:-1]):
+        one = cholesky_to_state(angles[idx])
+        looped = (one, partial_transpose(one), negativity(one),
+                  fidelity(one, cholesky_to_state(angles[idx][::-1])),
+                  setup.probabilities(one))
+        for stack, single in zip(stacked, looped):
+            assert np.asarray(stack)[idx].tobytes() == np.asarray(single).tobytes()
 
 
 class TestValidation:
