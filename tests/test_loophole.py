@@ -6,8 +6,8 @@ import pytest
 import spinwitness.loophole as lh
 from spinwitness.loophole import (KNOWN_LOOPHOLE_STATE, InfeasibleSearchError,
                                   OptimizationConfig, find_loophole_state,
-                                  neg_log_likelihood,
-                                  state_neg_log_likelihood, verify_loophole)
+                                  neg_log_likelihood, state_neg_log_likelihood,
+                                  verify_loophole)
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
                                 check_density_matrix, cholesky_to_state,
