@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import spinwitness.loophole as lh
+from spinwitness.cli import cmd_loophole
 from spinwitness.loophole import (KNOWN_LOOPHOLE_STATE, InfeasibleSearchError,
                                   OptimizationConfig, find_loophole_state,
                                   neg_log_likelihood, state_neg_log_likelihood,
@@ -174,6 +176,20 @@ class TestVerifyLoophole:
         assert report.reference_state_ok
         assert report.passed
         assert report.negativity_null > report.negativity_result
+
+
+def test_result_json_round_trip(tmp_path):
+    cmd_loophole(P350, {"tau": TAU, "shots_per_observable": 1000,
+                        "max_iterations": 150, "gradient_step": 1e-6,
+                        "constraint_margin": 1e-4, "restarts": 4},
+                 tmp_path, seed=5)
+    payload = json.loads((tmp_path / "loophole.json").read_text())
+    result = find_loophole_state(witness_data(seed=5), RHO_0,
+                                 OptimizationConfig(restarts=4), seed=5)
+    assert payload["constraint_satisfied"] is True
+    state = np.asarray(payload["state"]["re"]) + 1j * np.asarray(payload["state"]["im"])
+    assert np.abs(state - result.state).max() < 1e-12
+    assert payload["negativity"] == pytest.approx(result.negativity)
 
 
 # --- reference for the batched Jacobians: the search's gradients as they were
