@@ -8,12 +8,11 @@ from .model import (PhysicalConstants, ScenarioParams, branch_separations,
                     frequency_readings, pea_corrections, phase_rates, spin_state)
 from .qstate import (CholeskyAngles, MeasurementSetup, check_density_matrix,
                      cholesky_to_state, eigenbasis, expectation, fidelity,
-                     negativity, partial_transpose, pauli_tensor,
-                     state_from_json, state_to_json)
-from .stats import (DataVector, ProbabilityVector, SuccessRateReport,
-                    differential_success_rate, distinction_success_rate,
-                    lambda_min, log_likelihood_ratio, match_alpha,
-                    outcome_probabilities, simulate_measurements,
+                     negativity, partial_transpose, pauli_tensor)
+from .stats import (DataVector, DifferentialReport, ProbabilityVector,
+                    SuccessRateReport, differential_success_rate,
+                    distinction_success_rate, lambda_min, log_likelihood_ratio,
+                    match_alpha, outcome_probabilities, simulate_measurements,
                     witness_negative_probability)
 from .tomography import (MLEConfig, mle_reconstruct, negativity_exceedance,
                          r_operator, tomographic_success_rate)

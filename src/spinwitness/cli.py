@@ -105,14 +105,13 @@ def cmd_witneg(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> Non
 
 
 def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
-    tau = witnesses.optimal_fall_time(p, witnesses.w1()).tau
-    scale = stats.match_alpha(p, tau)
     report = stats.differential_success_rate(
         p, opts["shots_per_observable"], float(opts["alpha"]),
         int(opts["trials"]), seed, lambda_trials=int(opts["lambda_trials"]))
     _write_rates(out / "differential.csv", report, p, opts)
     (out / "differential_meta.json").write_text(json.dumps(
-        {"tau_s": float(_G(tau)), "matched_cp_scale": float(_G(scale))}))
+        {"tau_s": float(_G(report.tau)),
+         "matched_cp_scale": float(_G(report.matched_cp_scale))}))
 
 
 def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:

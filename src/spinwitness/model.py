@@ -239,6 +239,10 @@ def phase_rates(p: ScenarioParams) -> PhaseRates:
     return PhaseRates(rate("LR"), rate("RL"))
 
 
+#: number of qubits whose spin differs between basis states i and j
+_MISMATCHES = np.array([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
+
+
 def spin_state(p: ScenarioParams, tau: float) -> np.ndarray:
     """Two-qubit spin state after free fall of duration ``tau``.
 
@@ -254,14 +258,8 @@ def spin_state(p: ScenarioParams, tau: float) -> np.ndarray:
                      np.exp(1j * w.omega_rl * tau),
                      np.exp(1j * w.omega_lr * tau),
                      1.0]) / 2.0
-    rho = np.outer(amps, amps.conj())
     e1 = np.exp(-p.dephasing_gamma * tau)
-    e2 = e1 * e1
-    damp = np.array([[1, e1, e1, e2],
-                     [e1, 1, e2, e1],
-                     [e1, e2, 1, e1],
-                     [e2, e1, e1, 1]])
-    return rho * damp
+    return amps[:, None] * amps.conj() * np.array([1.0, e1, e1 * e1])[_MISMATCHES]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ The partial transpose acts on the second tensor factor.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "cholesky_to_state",
     "state_to_cholesky_angles",
     "check_density_matrix",
-    "state_to_json",
-    "state_from_json",
 ]
 
 # single-qubit Pauli matrices
@@ -58,10 +55,15 @@ def _check_obs(obs) -> None:
         raise ValueError(f"Pauli labels must be in I/X/Y/Z, got {obs!r}")
 
 
+# all 16 two-qubit Pauli products, built once
+_PAULI_TENSORS = {(a, b): np.kron(PAULI[a], PAULI[b]) for a in PAULI for b in PAULI}
+
+
 def pauli_tensor(obs: PauliObservable) -> np.ndarray:
-    """Kronecker product of the two single-qubit Paulis named by ``obs``."""
+    """Kronecker product of the two single-qubit Paulis named by ``obs``, as
+    a fresh array the caller may write to."""
     _check_obs(obs)
-    return np.kron(PAULI[obs[0]], PAULI[obs[1]])
+    return _PAULI_TENSORS[obs[0], obs[1]].copy()
 
 
 @dataclass(frozen=True)
@@ -299,13 +301,3 @@ def check_density_matrix(rho: np.ndarray) -> None:
     if lo < -1e-9:
         raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
 
-
-def state_to_json(rho: np.ndarray) -> str:
-    """Serialize a state as {"re": [[...]], "im": [[...]]}, row-major."""
-    rho = np.asarray(rho, dtype=complex)
-    return json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()})
-
-
-def state_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)

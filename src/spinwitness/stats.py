@@ -28,6 +28,7 @@ __all__ = [
     "ProbabilityVector",
     "DataVector",
     "SuccessRateReport",
+    "DifferentialReport",
     "outcome_probabilities",
     "simulate_measurements",
     "log_likelihood_ratio",
@@ -247,6 +248,15 @@ class SuccessRateReport:
             raise ValueError("axis, rates and lambda_min_used must have equal length")
 
 
+@dataclass(frozen=True)
+class DifferentialReport(SuccessRateReport):
+    """Differential success rates with the W1-optimal fall time and the
+    matched coupling rescale they were computed at."""
+
+    tau: float
+    matched_cp_scale: float
+
+
 def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
                        p_0: ProbabilityVector, shots_per_observable, alpha: float,
                        trials: int, seed: int, lambda_trials: int = 10000):
@@ -352,7 +362,7 @@ def match_alpha(p: ScenarioParams, tau: float, bracket=(0.0, 4.0)) -> float:
 
 def differential_success_rate(p: ScenarioParams, shots_per_observable, alpha: float,
                               trials: int, seed: int,
-                              lambda_trials: int = 10000) -> SuccessRateReport:
+                              lambda_trials: int = 10000) -> DifferentialReport:
     """Distinction success rate against the hardest gravity-free hypothesis:
     the null coupling is rescaled so both hypotheses share the W1 expectation
     at its optimal fall time, leaving only the per-observable discrepancies."""
@@ -364,6 +374,7 @@ def differential_success_rate(p: ScenarioParams, shots_per_observable, alpha: fl
     p_0 = outcome_probabilities(rho_0, W1_OBSERVABLES)
     rates, lmins = success_rate_curve(p_a, p_a, p_0, shots_per_observable,
                                       alpha, trials, seed, lambda_trials)
-    return SuccessRateReport(
+    return DifferentialReport(
         shots_axis=tuple(3 * int(N) for N in shots_per_observable),
-        rates=tuple(rates), lambda_min_used=tuple(lmins))
+        rates=tuple(rates), lambda_min_used=tuple(lmins),
+        tau=tau, matched_cp_scale=scale)

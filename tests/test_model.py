@@ -208,6 +208,24 @@ class TestSpinState:
         with pytest.raises(ValueError):
             spin_state(P450, -1.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.03, 0.1, 0.3])
+    @pytest.mark.parametrize("base", [P350, P450], ids=["P350", "P450"])
+    def test_bit_equal_to_outer_product_formula(self, base, gamma):
+        # the v0.1.0 construction: an outer product times a damping matrix
+        for gravity_on in (True, False):
+            p = dataclasses.replace(base, dephasing_gamma=gamma,
+                                    gravity_on=gravity_on)
+            w = phase_rates(p)
+            for tau in np.linspace(0.0, 30.0, 601):
+                amps = np.array([1.0, np.exp(1j * w.omega_rl * tau),
+                                 np.exp(1j * w.omega_lr * tau), 1.0]) / 2.0
+                e1 = np.exp(-p.dephasing_gamma * tau)
+                e2 = e1 * e1
+                damp = np.array([[1, e1, e1, e2], [e1, 1, e2, e1],
+                                 [e1, e2, 1, e1], [e2, e1, e1, 1]])
+                expected = np.outer(amps, amps.conj()) * damp
+                assert spin_state(p, tau).tobytes() == expected.tobytes()
+
 
 class TestPeaCorrections:
     def test_tau_zero(self):

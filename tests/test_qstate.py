@@ -1,18 +1,15 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
+from spinwitness.qstate import (PAULI, CholeskyAngles, MeasurementSetup,
                                 check_density_matrix,
                                 cholesky_to_state, dephase, eigenbasis,
                                 expectation, fidelity, negativity,
                                 partial_transpose, pauli_tensor, purity,
-                                state_from_json, state_to_cholesky_angles,
-                                state_to_json)
+                                state_to_cholesky_angles)
 from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES as TOMO
 from conftest import (oracle_kron, oracle_negativity, oracle_partial_transpose,
                       random_pure_product, random_separable_state, random_state)
@@ -36,10 +33,20 @@ class TestPauliTensor:
         for a in "IXYZ":
             for b in "IXYZ":
                 assert np.array_equal(pauli_tensor((a, b)), oracle_kron(a, b))
+                # the import-time table holds the bits of a fresh np.kron
+                assert (pauli_tensor((a, b)).tobytes()
+                        == np.kron(PAULI[a], PAULI[b]).tobytes())
+
+    def test_returns_a_fresh_array(self):
+        first = pauli_tensor(("X", "Y"))
+        first[:] = 7.0
+        assert np.array_equal(pauli_tensor(("X", "Y")), oracle_kron("X", "Y"))
+        assert pauli_tensor(("X", "Y")) is not pauli_tensor(("X", "Y"))
 
     def test_bad_label(self):
-        with pytest.raises(ValueError):
-            pauli_tensor(("X", "W"))
+        for obs in (("X", "W"), ("W", "X"), ("x", "X"), ("XX", "I")):
+            with pytest.raises(ValueError):
+                pauli_tensor(obs)
 
 
 class TestEigenbasis:
@@ -364,11 +371,3 @@ def test_dephase_kills_coherence():
     out = dephase(plus, 0.5)  # p=1/2 is complete dephasing
     assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
     assert purity(out) == pytest.approx(0.25)
-
-
-def test_json_round_trip(rng):
-    rho = random_state(rng)
-    text = state_to_json(rho)
-    parsed = json.loads(text)
-    assert set(parsed) == {"re", "im"}
-    assert np.allclose(state_from_json(text), rho)

@@ -421,3 +421,6 @@ class TestDifferential:
         rep = differential_success_rate(P350, [100, 2000], alpha=0.01,
                                         trials=400, seed=2, lambda_trials=2000)
         assert rep.rates[1] > rep.rates[0]
+        # the report carries the fall time and coupling rescale it used
+        assert rep.tau == optimal_fall_time(P350, w1()).tau
+        assert rep.matched_cp_scale == match_alpha(P350, rep.tau)
