@@ -300,4 +300,3 @@ def check_density_matrix(rho: np.ndarray) -> None:
     lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
     if lo < -1e-9:
         raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
-
