@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -144,6 +145,24 @@ class ScenarioParams:
             kwargs["cp_scale"] = cp_scale
         return replace(self, **kwargs)
 
+    @cached_property
+    def _phase_rates(self) -> "PhaseRates":
+        """The rates of :func:`phase_rates`, computed on first use and kept
+        by this object. The memo is per object, not per value: scenarios
+        with ``cp_scale`` +0.0 and -0.0 compare equal but give differently
+        signed zero rates."""
+        c = self.constants
+        seps = branch_separations(self)
+        d = self.separation_d
+        grav = c.G * self.mass ** 2 if self.gravity_on else 0.0
+        alpha = cp_coupling(self)
+
+        def rate(pair):
+            dm = seps[pair]
+            return (grav * (1 / dm - 1 / d) + alpha * (1 / dm ** 7 - 1 / d ** 7)) / c.hbar
+
+        return PhaseRates(rate("LR"), rate("RL"))
+
 
 @dataclass(frozen=True)
 class BranchSeparations:
@@ -224,19 +243,10 @@ def phase_rates(p: ScenarioParams) -> PhaseRates:
     """omega_mn = [gravity_on * G m^2 (1/d_mn - 1/d) + alpha (1/d_mn^7 - 1/d^7)] / hbar.
 
     The closest pair (LR) gets the large positive rate; LL and RR pairs have
-    zero rate by construction (their separation is d).
+    zero rate by construction (their separation is d). Computed once per
+    scenario object.
     """
-    c = p.constants
-    seps = branch_separations(p)
-    d = p.separation_d
-    grav = c.G * p.mass ** 2 if p.gravity_on else 0.0
-    alpha = cp_coupling(p)
-
-    def rate(pair):
-        dm = seps[pair]
-        return (grav * (1 / dm - 1 / d) + alpha * (1 / dm ** 7 - 1 / d ** 7)) / c.hbar
-
-    return PhaseRates(rate("LR"), rate("RL"))
+    return p._phase_rates
 
 
 #: number of qubits whose spin differs between basis states i and j
@@ -251,8 +261,8 @@ def spin_state(p: ScenarioParams, tau: float) -> np.ndarray:
     phi_mn = omega_mn * tau; dephasing at rate gamma damps coherences by
     e^{-gamma tau} per mismatched qubit.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and >= 0")
     w = phase_rates(p)
     amps = np.array([1.0,
                      np.exp(1j * w.omega_rl * tau),
@@ -280,8 +290,8 @@ class PEAReport:
 
 
 def pea_corrections(p: ScenarioParams, tau: float) -> PEAReport:
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and >= 0")
     c = p.constants
     q2 = abs(coupling_tensor(p, 2).fastest)
     q4 = abs(coupling_tensor(p, 4).fastest)

@@ -148,6 +148,49 @@ class TestPhaseRates:
         assert w.omega_lr > 0 > w.omega_rl
 
 
+def direct_phase_rates(p):
+    """The rate formula written out, computed afresh on every call."""
+    c, d = p.constants, p.separation_d
+    grav = c.G * p.mass ** 2 if p.gravity_on else 0.0
+    alpha = cp_coupling(p)
+
+    def rate(dm):
+        return (grav * (1 / dm - 1 / d) + alpha * (1 / dm ** 7 - 1 / d ** 7)) / c.hbar
+
+    delta = p.half_split_delta
+    return rate(d - 2 * delta), rate(d + 2 * delta)
+
+
+class TestPhaseRateMemo:
+    def test_equals_direct_formula(self, rng):
+        for _ in range(200):
+            p = random_scenario(rng)
+            assert tuple(phase_rates(p)) == direct_phase_rates(p)
+            assert phase_rates(p) is phase_rates(p)
+
+    def test_replace_computes_fresh_rates(self, rng):
+        for _ in range(50):
+            p = random_scenario(rng)
+            phase_rates(p)
+            q = dataclasses.replace(p, mass=2 * p.mass, gravity_on=True)
+            assert tuple(phase_rates(q)) == direct_phase_rates(q)
+            same = dataclasses.replace(p)
+            assert phase_rates(same) is not phase_rates(p)
+            assert phase_rates(same) == phase_rates(p)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_scenarios_keep_their_own_rates(self, first):
+        # equal scenarios, differently signed zero rates: a cache keyed by
+        # value would hand the second one the first one's zeros
+        a = ScenarioParams(gravity_on=False, cp_scale=first)
+        b = ScenarioParams(gravity_on=False, cp_scale=-first)
+        assert a == b
+        ra, rb = phase_rates(a), phase_rates(b)
+        assert np.signbit(ra).tolist() == np.signbit(direct_phase_rates(a)).tolist()
+        assert np.signbit(rb).tolist() == np.signbit(direct_phase_rates(b)).tolist()
+        assert np.signbit(ra.omega_rl) != np.signbit(rb.omega_rl)
+
+
 class TestFrequencyReadings:
     def test_default_geometry(self):
         f = frequency_readings(P450)
@@ -208,6 +251,11 @@ class TestSpinState:
         with pytest.raises(ValueError):
             spin_state(P450, -1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            spin_state(P450, tau)
+
     @pytest.mark.parametrize("gamma", [0.0, 0.03, 0.1, 0.3])
     @pytest.mark.parametrize("base", [P350, P450], ids=["P350", "P450"])
     def test_bit_equal_to_outer_product_formula(self, base, gamma):
@@ -250,6 +298,12 @@ class TestPeaCorrections:
         nbar = 1e6
         assert r.decoherence_factor_thermal == pytest.approx(
             np.exp(-(nbar / 2 + 1) * theta_sq), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_invalid_tau_rejected(self, tau):
+        # a NaN tau used to give a report of NaN fields
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            pea_corrections(P450, tau)
 
     def test_kappa(self):
         r = pea_corrections(P450, 1.0)
