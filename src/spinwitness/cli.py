@@ -52,9 +52,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_scan(path: Path, scan: witnesses.WitnessScan) -> None:
+def _write_scan(path: Path, tau_cells: list, values, gamma_cell: str) -> None:
+    """One scan table: the tau cells already formatted by _G, the values,
+    and the formatted gamma cell."""
     _write_csv(path, "tau_s,value,gamma",
-               ([_G(t), _G(v), _G(scan.gamma)] for t, v in zip(scan.taus, scan.values)))
+               ([t, _G(v), gamma_cell] for t, v in zip(tau_cells, values)))
 
 
 def _write_rates(path: Path, report: stats.SuccessRateReport,
@@ -78,15 +80,18 @@ def cmd_pea(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
 
 def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     taus = np.linspace(0.0, float(opts["tau_max"]), int(opts["points"]))
+    tau_cells = [_G(t) for t in taus]
+    states = np.empty((taus.size, 4, 4), dtype=complex)
     for gamma in opts["gammas"]:
         pg = replace(p, dephasing_gamma=float(gamma))
-        tag = _G(gamma)
+        tag, gamma_cell = _G(gamma), _G(pg.dephasing_gamma)
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
-            _write_scan(out / f"witness_{name}_gamma{tag}.csv",
-                        witnesses.witness_scan(pg, w, taus))
-        negs = np.array([negativity(model.spin_state(pg, t)) for t in taus])
-        _write_scan(out / f"negativity_gamma{tag}.csv",
-                    witnesses.WitnessScan(taus, negs, pg.dephasing_gamma))
+            _write_scan(out / f"witness_{name}_gamma{tag}.csv", tau_cells,
+                        witnesses.witness_scan(pg, w, taus).values, gamma_cell)
+        for i, t in enumerate(taus):
+            states[i] = model.spin_state(pg, t)
+        _write_scan(out / f"negativity_gamma{tag}.csv", tau_cells,
+                    negativity(states), gamma_cell)
 
 
 def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:

@@ -60,7 +60,7 @@ def w1() -> WitnessSpec:
 
 def witness_expectation(p: ScenarioParams, tau: float, w: WitnessSpec) -> float:
     """Tr(W rho(p, tau))."""
-    return float(np.real(np.trace(w.matrix() @ spin_state(p, tau))))
+    return float((w.matrix() @ spin_state(p, tau)).trace().real)
 
 
 def w1_expectation_closed_form(p: ScenarioParams, tau) -> np.ndarray | float:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spinwitness.cli import main
+from spinwitness.cli import _G, main
+from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import check_density_matrix, negativity
 
 
@@ -78,6 +79,21 @@ class TestScan:
         assert lines[0] == "tau_s,value,gamma"
         assert len(lines) == 7
         assert lines[1] == "0,0,0.3"
+
+    def test_negativity_rows_equal_point_by_point_at_benchmark_size(self, tmp_path):
+        # the benchmark's grid; the command takes one negativity per gamma
+        # over a state stack, which must print each single state's bits
+        cfg = write_config(tmp_path, {
+            "scenario": SMALL_SCENARIO,
+            "scan": {"gammas": [0.03, 0.3], "tau_max": 30.0, "points": 4801}})
+        out = tmp_path / "scan"
+        assert run(["scan-witness", "--config", cfg, "--out", str(out)]) == 0
+        taus = np.linspace(0.0, 30.0, 4801)
+        for gamma in (0.03, 0.3):
+            pg = ScenarioParams(**{**SMALL_SCENARIO, "dephasing_gamma": gamma})
+            lines = (out / f"negativity_gamma{_G(gamma)}.csv").read_text().splitlines()
+            assert lines[1:] == [f"{_G(t)},{_G(negativity(spin_state(pg, t)))},{_G(gamma)}"
+                                 for t in taus]
 
 
 class TestMonteCarloCommands:
@@ -206,6 +222,17 @@ class TestErrors:
         cfg.write_text('{"scenario": {"%s": NaN}}' % name)
         assert run(["pea", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section", [
+        ("pea", '{"taus": [NaN]}'), ("pea", '{"taus": [Infinity]}'),
+        ("loophole", '{"tau": NaN}'), ("loophole", '{"tau": Infinity}')])
+    def test_non_finite_fall_time_exits_2(self, tmp_path, capsys, command, section):
+        cfg = tmp_path / "tau.json"
+        cfg.write_text('{"%s": %s}' % (command, section))
+        out = tmp_path / "x"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "tau must be finite and >= 0" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_infinite_separation_exits_2(self, tmp_path):
         cfg = tmp_path / "inf.json"
