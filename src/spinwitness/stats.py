@@ -191,7 +191,10 @@ def log_likelihood_ratio(n: DataVector, p_a: ProbabilityVector,
 def _lambda_batch(counts: np.ndarray, p_a: ProbabilityVector,
                   p_0: ProbabilityVector) -> np.ndarray:
     """Vectorized lambda over (trials, n_obs, 4) counts, with the same
-    infinite-evidence signaling as :func:`log_likelihood_ratio`."""
+    infinite-evidence signaling as :func:`log_likelihood_ratio`. Each row is
+    summed on its own, so it has the bits of its single-row call wherever it
+    sits in the batch (a BLAS matrix-vector product rounds the last
+    batch-size-mod-4 rows differently)."""
     flat = counts.reshape(counts.shape[0], -1)
     pa, p0 = p_a.flat, p_0.flat
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -201,7 +204,7 @@ def _lambda_batch(counts: np.ndarray, p_a: ProbabilityVector,
     dead_0 = (active & (p0 <= 0.0)).any(axis=1)
     if np.any(dead_a & dead_0):
         raise ValueError("observed data impossible under both hypotheses")
-    out = 2.0 * (flat @ np.where(np.isfinite(weight), weight, 0.0))
+    out = 2.0 * (flat * np.where(np.isfinite(weight), weight, 0.0)).sum(axis=1)
     out[dead_0] = math.inf
     out[dead_a] = -math.inf
     return out

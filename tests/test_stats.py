@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinwitness import loophole, stats, tomography
 from spinwitness.model import ScenarioParams, spin_state
@@ -204,8 +205,8 @@ class TestLogLikelihoodRatio:
                 log_likelihood_ratio(rules_out_both, a, b)
 
     def test_equals_batch_row_including_infinite_evidence(self, rng):
-        # one function: the scalar is the batch on one row; rows of a larger
-        # batch may differ in the last bit (the matrix-vector product)
+        # one function: the scalar is the batch on one row, and each row of a
+        # larger batch has the bits of its single-row call
         pa = pv_from_rows(ZZ, [[0.25, 0.25, 0.5, 0.0]])
         p0 = pv_from_rows(ZZ, [[0.5, 0.0, 0.25, 0.25]])
         tau = optimal_fall_time(P450, w1()).tau
@@ -222,7 +223,7 @@ class TestLogLikelihoodRatio:
             for row, lam in zip(counts, batch):
                 one = log_likelihood_ratio(DataVector(row, row[0].sum()), a, b)
                 assert one == _lambda_batch(row[None], a, b)[0]
-                assert one == pytest.approx(lam, rel=1e-12, abs=1e-12)
+                assert one == lam
         assert list(_lambda_batch(cases[0][0], pa, p0)[1:3]) == [math.inf, -math.inf]
 
 
@@ -257,6 +258,39 @@ class TestLambdaProperties:
                 log_likelihood_ratio(n, p_0, p_a)
             return
         assert log_likelihood_ratio(n, p_0, p_a) == -lam
+
+
+@st.composite
+def lambda_batches(draw):
+    """A (trials, n_obs, 4) count stack, two probability vectors whose
+    outcomes may be impossible under either hypothesis, and a reordering of
+    the trials."""
+    observables = W1_OBSERVABLES[:draw(st.integers(1, 3))]
+    trials = draw(st.integers(1, 40))
+    counts = draw(hnp.arrays(np.int64, (trials, len(observables), 4),
+                             elements=st.integers(0, 50)))
+
+    def pv():
+        rows = [draw(st.lists(st.integers(0, 9), min_size=4, max_size=4)
+                     .filter(any)) for _ in observables]
+        return pv_from_rows(observables, [np.divide(r, sum(r)) for r in rows])
+
+    return counts, pv(), pv(), draw(st.permutations(range(trials)))
+
+
+class TestLambdaBatchOrder:
+    @given(lambda_batches())
+    def test_reordering_trials_reorders_lambdas_bit_for_bit(self, case):
+        # every aggregate over trials (the threshold percentile, the success
+        # rate) then cannot depend on the order the trials were drawn in
+        counts, p_a, p_0, order = case
+        try:
+            lam = _lambda_batch(counts, p_a, p_0)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _lambda_batch(counts[order], p_a, p_0)
+            return
+        assert _lambda_batch(counts[order], p_a, p_0).tobytes() == lam[order].tobytes()
 
 
 class TestLambdaMin:

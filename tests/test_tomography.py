@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinwitness.loophole import state_neg_log_likelihood
 from spinwitness.model import ScenarioParams, spin_state
@@ -144,6 +147,16 @@ class TestMLE:
         direct = sum(5 / np.trace(rho @ SETUP.projectors[4 * i]).real
                      * SETUP.projectors[4 * i] for i in range(9)) / 45
         assert np.abs(r - direct).max() < 1e-12
+
+    @given(st.integers(1, 8).flatmap(lambda trials: st.tuples(
+        hnp.arrays(np.int64, (trials, 36), elements=st.integers(0, 30)),
+        st.permutations(range(trials)))))
+    def test_reordering_trials_reorders_states_bit_for_bit(self, case):
+        counts, order = case
+        assume(counts.sum(axis=1).all())  # every trial has shots
+        cfg = MLEConfig(iterations=20)
+        rho = mle_reconstruct(counts, SETUP, cfg)
+        assert mle_reconstruct(counts[order], SETUP, cfg).tobytes() == rho[order].tobytes()
 
     def test_count_width_must_match_setup(self):
         with pytest.raises(ValueError, match="shape"):
