@@ -32,15 +32,33 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _typed(value, default, where: str):
+    """``value`` checked against the JSON type of ``default``; a real number
+    comes back as a float. Raises ValueError naming ``where``."""
+    kind = type(default)
+    if kind is list and type(value) is list and value:
+        return [_typed(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind in (bool, int) and type(value) is kind and (kind is bool or value >= 1):
+        return value
+    real = type(value) in (int, float)
+    if kind in (float, type(None)) and (real or (value is None and default is None)):
+        return float(value) if real else None
+    expected = {list: "a non-empty list", bool: "true or false", int: "an integer >= 1",
+                float: "a real number"}.get(kind, "a real number or null")
+    raise ValueError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
 def _section(config: dict, name: str, defaults: dict, trials_override) -> dict:
-    opts = dict(defaults)
-    opts.update(config.get(name, {}))
-    unknown = set(opts) - set(defaults)
+    given = config.get(name, {})
+    if type(given) is not dict:
+        raise ValueError(f"config section {name} must be a JSON object")
+    unknown = set(given) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {name} options: {sorted(unknown)}")
+    opts = {**defaults, **given}
     if trials_override is not None and "trials" in opts:
         opts["trials"] = trials_override
-    return opts
+    return {k: _typed(v, defaults[k], f"{name}.{k}") for k, v in opts.items()}
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -61,7 +79,7 @@ def _write_scan(path: Path, tau_cells: list, values, gamma_cell: str) -> None:
 
 def _write_rates(path: Path, report: stats.SuccessRateReport,
                  p: model.ScenarioParams, opts: dict) -> None:
-    tail = [int(opts["trials"]), _G(p.dephasing_gamma), _G(p.separation_d)]
+    tail = [opts["trials"], _G(p.dephasing_gamma), _G(p.separation_d)]
     _write_csv(path, "total_measurements,rate,lambda_min,trials,gamma,d_m",
                ([n, _G(rate), _G(lmin), *tail] for n, rate, lmin in
                 zip(report.shots_axis, report.rates, report.lambda_min_used)))
@@ -70,7 +88,7 @@ def _write_rates(path: Path, report: stats.SuccessRateReport,
 def cmd_pea(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     rows = []
     for tau in opts["taus"]:
-        r = model.pea_corrections(p, float(tau))
+        r = model.pea_corrections(p, tau)
         rows.append([_G(x) for x in (tau, r.theta_magnitude, r.phase_correction,
                                      r.decoherence_factor_zeroT,
                                      r.decoherence_factor_thermal, r.kappa)])
@@ -79,11 +97,12 @@ def cmd_pea(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
 
 
 def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
-    taus = np.linspace(0.0, float(opts["tau_max"]), int(opts["points"]))
+    with np.errstate(invalid="ignore"):  # an infinite tau_max fails in spin_state
+        taus = np.linspace(0.0, opts["tau_max"], opts["points"])
     tau_cells = [_G(t) for t in taus]
     states = np.empty((taus.size, 4, 4), dtype=complex)
     for gamma in opts["gammas"]:
-        pg = replace(p, dephasing_gamma=float(gamma))
+        pg = replace(p, dephasing_gamma=gamma)
         tag, gamma_cell = _G(gamma), _G(pg.dephasing_gamma)
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
             _write_scan(out / f"witness_{name}_gamma{tag}.csv", tau_cells,
@@ -97,22 +116,21 @@ def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
 def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     report = stats.distinction_success_rate(
         p, witnesses.W1_OBSERVABLES, opts["shots_per_observable"],
-        float(opts["alpha"]), int(opts["trials"]), seed,
-        lambda_trials=int(opts["lambda_trials"]),
+        opts["alpha"], opts["trials"], seed, lambda_trials=opts["lambda_trials"],
         data_from="null" if opts["control"] else "alt")
     _write_rates(out / "success.csv", report, p, opts)
 
 
 def cmd_witneg(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     report = stats.witness_negative_probability(
-        p, opts["shots_per_observable"], int(opts["trials"]), seed)
+        p, opts["shots_per_observable"], opts["trials"], seed)
     _write_rates(out / "witneg.csv", report, p, opts)
 
 
 def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     report = stats.differential_success_rate(
-        p, opts["shots_per_observable"], float(opts["alpha"]),
-        int(opts["trials"]), seed, lambda_trials=int(opts["lambda_trials"]))
+        p, opts["shots_per_observable"], opts["alpha"], opts["trials"], seed,
+        lambda_trials=opts["lambda_trials"])
     _write_rates(out / "differential.csv", report, p, opts)
     (out / "differential_meta.json").write_text(json.dumps(
         {"tau_s": float(_G(report.tau)),
@@ -120,19 +138,18 @@ def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
 
 
 def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
-    trials = int(opts["trials"])
+    trials = opts["trials"]
     rows = []
-    for total in map(int, opts["totals"]):
+    for total in opts["totals"]:
         rate = tomography.negativity_exceedance(p, total, trials, seed)
         rows.append([total, _G(rate), trials, _G(p.dephasing_gamma), _G(p.separation_d)])
     _write_csv(out / "tomo_exceedance.csv", "total_shots,rate,trials,gamma,d_m", rows)
-    shots = int(opts["batch_shots"])
     for hyp in ("alt", "null"):
         negs, fids = tomography.reconstruction_batch(
-            p, shots, int(opts["batch_trials"]), seed, hypothesis=hyp)
+            p, opts["batch_shots"], opts["batch_trials"], seed, hypothesis=hyp)
         _write_csv(out / f"tomo_batch_{hyp}.csv",
                    "shots,hypothesis,trial,negativity,fidelity_to_truth",
-                   ([shots, hyp, t, _G(neg), _G(fid)]
+                   ([opts["batch_shots"], hyp, t, _G(neg), _G(fid)]
                     for t, (neg, fid) in enumerate(zip(negs, fids))))
 
 
@@ -143,12 +160,10 @@ def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> N
     rho_a = model.spin_state(p.with_hypothesis(True), tau)
     rho_0 = model.spin_state(p.with_hypothesis(False), tau)
     data = stats.simulate_measurements(rho_a, witnesses.W1_OBSERVABLES,
-                                       int(opts["shots_per_observable"]), seed)
+                                       opts["shots_per_observable"], seed)
     cfg = lh.OptimizationConfig(
-        max_iterations=int(opts["max_iterations"]),
-        gradient_step=float(opts["gradient_step"]),
-        constraint_margin=float(opts["constraint_margin"]),
-        restarts=int(opts["restarts"]))
+        max_iterations=opts["max_iterations"], gradient_step=opts["gradient_step"],
+        constraint_margin=opts["constraint_margin"], restarts=opts["restarts"])
     result = lh.find_loophole_state(data, rho_0, cfg, seed)
     verification = lh.verify_loophole(result, rho_a, rho_0, data)
     payload = {
@@ -215,7 +230,7 @@ def main(argv=None) -> int:
         opts = _section(config, section, defaults, args.trials)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, OSError, TypeError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -224,7 +239,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (lh.InfeasibleSearchError, RuntimeError, ZeroDivisionError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -4,6 +4,7 @@ of the two-qubit state space."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,12 @@ class OptimizationConfig:
     restarts: int = 32
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.restarts < 1:
-            raise ValueError("max_iterations and restarts must be >= 1")
-        if self.gradient_step <= 0 or self.constraint_margin < 0:
-            raise ValueError("gradient_step must be > 0 and constraint_margin >= 0")
+        if not all(isinstance(n, numbers.Integral) and n >= 1
+                   for n in (self.max_iterations, self.restarts)):
+            raise ValueError("max_iterations and restarts must be integers >= 1")
+        if not (0 < self.gradient_step < math.inf and 0 <= self.constraint_margin < math.inf):
+            raise ValueError("gradient_step must be finite and > 0, and "
+                             "constraint_margin finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -99,10 +100,15 @@ class ScenarioParams:
         self.validate()
 
     def validate(self) -> None:
+        if not isinstance(self.gravity_on, bool):
+            raise ValueError(f"gravity_on must be a bool, got {self.gravity_on!r}")
         for name in self._REAL_FIELDS:
-            # NaN would slip through the range checks below
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            # a bool is an int to Python, and NaN passes the range checks below
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("mass", "separation_d", "trap_omega", "sphere_radius_R"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -126,6 +132,8 @@ class ScenarioParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioParams":
+        if not isinstance(data, dict):
+            raise ValueError("config section scenario must be a JSON object")
         unknown = set(data) - set(cls._JSON_FIELDS)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")

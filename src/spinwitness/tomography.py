@@ -3,6 +3,7 @@ counts, one data set or a stack of them, and tomography-based distinction
 statistics."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class MLEConfig:
     iterations: int = 100
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not (isinstance(self.iterations, numbers.Integral) and self.iterations >= 1):
+            raise ValueError("iterations must be an integer >= 1")
 
 
 def _count_rows(n, setup: MeasurementSetup):
@@ -49,7 +50,10 @@ def _count_rows(n, setup: MeasurementSetup):
     if counts.ndim != 2 or counts.shape[1] != len(setup.projectors):
         raise ValueError(f"expected counts of shape (trials, {len(setup.projectors)}), "
                          f"got {counts.shape}")
-    return counts, counts.sum(axis=1)
+    total = counts.sum(axis=1)
+    if not total.all():
+        raise ValueError(f"trial {np.flatnonzero(total == 0)[0]}: count row sums to zero")
+    return counts, total
 
 
 def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:

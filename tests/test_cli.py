@@ -1,11 +1,21 @@
+import contextlib
+import csv
+import io
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinwitness.cli import _G, main
+from spinwitness.cli import _COMMANDS, _G, _SECTION_NAME, main
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import check_density_matrix, negativity
+from test_golden import CONFIG as GOLDEN_CONFIG, TRIALS as GOLDEN_TRIALS
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -19,6 +29,33 @@ SMALL_SCENARIO = {"separation_d": 350e-6, "dephasing_gamma": 0.3}
 
 def run(args):
     return main(args)
+
+
+#: (command, config, words the error message must contain)
+MISTYPED = [
+    ("scan-witness", {"scan": {"points": 2.5}},
+     "scan.points must be an integer >= 1, got 2.5"),
+    ("scan-witness", {"scan": {"points": "7"}}, "scan.points must be an integer"),
+    ("scan-witness", {"scan": {"points": 0}}, "scan.points must be an integer"),
+    ("scan-witness", {"scan": {"gammas": 0.1}}, "scan.gammas must be a non-empty list"),
+    ("scan-witness", {"scan": {"gammas": []}}, "scan.gammas must be a non-empty list"),
+    ("scan-witness", {"scan": {"gammas": [None]}},
+     "scan.gammas[0] must be a real number, got null"),
+    ("pea", {"pea": {"taus": 1.0}}, "pea.taus must be a non-empty list"),
+    ("pea", {"pea": []}, "config section pea must be a JSON object"),
+    ("pea", {"scenario": "abc"}, "config section scenario must be a JSON object"),
+    ("witneg", {"witneg": {"trials": 0}}, "witneg.trials must be an integer >= 1"),
+    ("witneg", {"witneg": {"shots_per_observable": [0]}},
+     "witneg.shots_per_observable[0] must be an integer >= 1"),
+    ("success", {"success": {"control": 1}}, "success.control must be true or false"),
+    ("success", {"success": {"alpha": "0.01"}}, "success.alpha must be a real number"),
+    ("loophole", {"loophole": {"tau": "1"}}, "loophole.tau must be a real number or null"),
+    ("loophole", {"loophole": {"restarts": True}}, "loophole.restarts must be an integer"),
+    ("loophole", {"loophole": {"gradient_step": math.nan}},
+     "gradient_step must be finite and > 0"),
+    ("pea", {"scenario": {"gravity_on": "no"}}, "gravity_on must be a bool"),
+    ("pea", {"scenario": {"separation_d": True}}, "separation_d must be a real number"),
+]
 
 
 class TestPea:
@@ -267,3 +304,86 @@ class TestErrors:
                          "constraint_margin": 1.0}})
         assert run(["loophole", "--config", cfg,
                     "--out", str(tmp_path / "x")]) == 3
+
+    def test_overflowing_fall_time_exits_3(self, tmp_path, capsys):
+        # tau ** 3 in pea_corrections overflows a float
+        cfg = write_config(tmp_path, {"pea": {"taus": [1e200]}})
+        assert run(["pea", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, message", MISTYPED,
+                             ids=[json.dumps(c) for _, c, _ in MISTYPED])
+    def test_mistyped_option_exits_2_naming_it(self, tmp_path, capsys, command, config,
+                                                message):
+        out = tmp_path / "x"
+        assert run([command, "--config", write_config(tmp_path, config),
+                    "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_trials_override_is_checked(self, tmp_path, capsys):
+        assert run(["witneg", "--trials", "0", "--out", str(tmp_path / "x")]) == 2
+        assert "witneg.trials must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+def golden_sections():
+    """Each command's section at the golden-digest sizes, trials included."""
+    sections = {}
+    for command, (_, defaults) in _COMMANDS.items():
+        name = _SECTION_NAME.get(command, command)
+        opts = {**defaults, **GOLDEN_CONFIG.get(name, {})}
+        if "trials" in opts:
+            opts["trials"] = int(GOLDEN_TRIALS)
+        sections[command] = (name, opts)
+    return sections
+
+
+GOLDEN_SECTIONS = golden_sections()
+#: wrong types, zero, negative, non-finite and huge values; none is a valid
+#: count, so no drawn value makes a command run larger than its golden size
+BAD_SCALARS = st.sampled_from(["7", True, False, None, {}, 0, -1, 2.5, math.nan,
+                               math.inf, -math.inf, 1e300])
+
+
+def drawn_value(default):
+    if isinstance(default, list):
+        return st.one_of(BAD_SCALARS, st.just([]), st.just(default[0]),
+                         BAD_SCALARS.map(lambda v: [v]))
+    return st.one_of(BAD_SCALARS, st.just([default]))
+
+
+def rates_in(out: Path) -> list:
+    rates = []
+    for path in out.glob("*.csv"):
+        with open(path, newline="") as fh:
+            rates += [float(row["rate"]) for row in csv.DictReader(fh) if "rate" in row]
+    return rates
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_fuzzed_option_exits_0_2_or_3(data):
+    command = data.draw(st.sampled_from(sorted(GOLDEN_SECTIONS)), label="command")
+    name, opts = GOLDEN_SECTIONS[command]
+    key = data.draw(st.sampled_from(sorted(opts)), label="option")
+    value = data.draw(drawn_value(opts[key]), label="value")
+    config = {**GOLDEN_CONFIG, name: {**opts, key: value}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert not any(math.isnan(r) for r in rates_in(out))
+
+
+def test_readme_config_block_equals_code_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Configuration"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    expected = {"scenario": ScenarioParams().to_dict()}
+    expected.update({_SECTION_NAME.get(c, c): defaults
+                     for c, (_, defaults) in _COMMANDS.items()})
+    assert json.loads(block) == expected

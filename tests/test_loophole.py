@@ -149,10 +149,12 @@ class TestFindLoopholeState:
             (1, "ValueError('angles must be finite')"),)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizationConfig(restarts=0)
-        with pytest.raises(ValueError):
-            OptimizationConfig(gradient_step=0.0)
+        for bad in ({"restarts": 0}, {"gradient_step": 0.0}, {"restarts": 1.5},
+                    {"max_iterations": 10.0}, {"gradient_step": math.nan},
+                    {"gradient_step": math.inf}, {"constraint_margin": math.nan},
+                    {"constraint_margin": math.inf}):
+            with pytest.raises(ValueError):
+                OptimizationConfig(**bad)
 
 
 class TestVerifyLoophole:

@@ -44,6 +44,17 @@ class TestScenarioParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ScenarioParams(**{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("gravity_on", "no", "gravity_on must be a bool"),
+        ("gravity_on", 1, "gravity_on must be a bool"),
+        ("separation_d", True, "separation_d must be a real number"),
+        ("dephasing_gamma", "0.1", "dephasing_gamma must be a real number"),
+        ("mass", None, "mass must be a real number"),
+    ])
+    def test_rejects_mistyped_fields(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioParams(**{name: value})
+
     def test_from_dict_defaults_and_unknown(self):
         p = ScenarioParams.from_dict({"separation_d": 350e-6})
         assert p.separation_d == 350e-6

@@ -163,8 +163,15 @@ class TestMLE:
             mle_reconstruct(np.ones((3, 12)), SETUP)
 
     def test_iterations_validated(self):
-        with pytest.raises(ValueError):
-            MLEConfig(0)
+        for bad in (0, 1.5, 10.0, float("nan")):
+            with pytest.raises(ValueError):
+                MLEConfig(bad)
+
+    def test_zero_count_row_names_its_trial(self):
+        counts = np.ones((2, 36))
+        counts[1] = 0
+        with pytest.raises(ValueError, match="trial 1: count row sums to zero"):
+            mle_reconstruct(counts, SETUP)
 
     def test_fidelity_median_non_decreasing_in_shots(self):
         medians = []
