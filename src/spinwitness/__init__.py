@@ -6,9 +6,9 @@ maximum-likelihood tomography, and loophole-state searches."""
 from .model import (PhysicalConstants, ScenarioParams, branch_separations,
                     characteristic_time, coupling_tensor, cp_coupling,
                     frequency_readings, pea_corrections, phase_rates, spin_state)
-from .qstate import (CholeskyAngles, MeasurementSetup, check_density_matrix,
-                     cholesky_to_state, eigenbasis, expectation, fidelity,
-                     negativity, partial_transpose, pauli_tensor)
+from .qstate import (MeasurementSetup, check_density_matrix, cholesky_to_state,
+                     eigenbasis, expectation, fidelity, negativity,
+                     partial_transpose, pauli_tensor)
 from .stats import (DataVector, DifferentialReport, ProbabilityVector,
                     SuccessRateReport, differential_success_rate,
                     distinction_success_rate, lambda_min, log_likelihood_ratio,
@@ -18,7 +18,7 @@ from .tomography import (MLEConfig, mle_reconstruct, negativity_exceedance,
                          r_operator, tomographic_success_rate)
 from .loophole import (KNOWN_LOOPHOLE_STATE, LoopholeResult,
                        OptimizationConfig, find_loophole_state,
-                       neg_log_likelihood, verify_loophole)
+                       state_neg_log_likelihood, verify_loophole)
 from .witnesses import (W1_OBSERVABLES, optimal_fall_time, w0, w1,
                         w1_expectation_closed_form, w1_threshold,
                         witness_expectation, witness_scan)

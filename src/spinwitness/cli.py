@@ -156,7 +156,7 @@ def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
 def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     tau = opts["tau"]
     if tau is None:
-        tau = witnesses.optimal_fall_time(p, witnesses.w1()).tau
+        tau = witnesses.optimal_fall_time(p).tau
     rho_a = model.spin_state(p.with_hypothesis(True), tau)
     rho_0 = model.spin_state(p.with_hypothesis(False), tau)
     data = stats.simulate_measurements(rho_a, witnesses.W1_OBSERVABLES,

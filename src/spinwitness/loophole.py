@@ -22,7 +22,6 @@ __all__ = [
     "LoopholeVerification",
     "InfeasibleSearchError",
     "KNOWN_LOOPHOLE_STATE",
-    "neg_log_likelihood",
     "state_neg_log_likelihood",
     "find_loophole_state",
     "verify_loophole",
@@ -53,8 +52,10 @@ class OptimizationConfig:
         if not all(isinstance(n, numbers.Integral) and n >= 1
                    for n in (self.max_iterations, self.restarts)):
             raise ValueError("max_iterations and restarts must be integers >= 1")
-        if not (0 < self.gradient_step < math.inf and 0 <= self.constraint_margin < math.inf):
-            raise ValueError("gradient_step must be finite and > 0, and "
+        # the state is 2 pi-periodic in each angle: at a step of pi every
+        # central difference is zero, and past it a difference can flip sign
+        if not (0 < self.gradient_step < math.pi and 0 <= self.constraint_margin < math.inf):
+            raise ValueError("gradient_step must be finite and > 0 and < pi, and "
                              "constraint_margin finite and >= 0")
 
 
@@ -74,7 +75,7 @@ class InfeasibleSearchError(RuntimeError):
     """No feasible point found across restarts."""
 
 
-def _neg_log_likelihood(rho: np.ndarray, counts: np.ndarray, setup: MeasurementSetup):
+def _nll(rho: np.ndarray, counts: np.ndarray, setup: MeasurementSetup):
     """-sum n_i log Tr(rho P_i) for one state (a float) or a stack (an array).
     Each row is summed from a C-contiguous (stack, counted outcomes) array,
     so a stack gives the bits of one call per state."""
@@ -91,13 +92,7 @@ def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
     """-sum n_i log Tr(rho P_i); +inf when a counted outcome has zero
     probability (an infinitely bad fit the optimizer can move away from).
     A float for one state, an array for a stack of shape (..., 4, 4)."""
-    return _neg_log_likelihood(rho, n.flat.astype(float), MeasurementSetup(observables))
-
-
-def neg_log_likelihood(angles, n: DataVector, observables):
-    """:func:`state_neg_log_likelihood` of the state(s) at Cholesky angles
-    (a :class:`CholeskyAngles` or an array of shape (..., 15))."""
-    return state_neg_log_likelihood(cholesky_to_state(angles), n, observables)
+    return _nll(rho, n.flat.astype(float), MeasurementSetup(observables))
 
 
 class _Search:
@@ -124,7 +119,7 @@ class _Search:
                 points = np.empty((2 * x.size, x.size))
                 points[0::2], points[1::2] = x + steps, x - steps
             rho = cholesky_to_state(points)
-            nll = _neg_log_likelihood(rho, self.counts, self.setup)
+            nll = _nll(rho, self.counts, self.setup)
             self._cache[probes] = key, (points, nll, negativity(rho))
         return self._cache[probes][1]
 
@@ -175,7 +170,7 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
     search = _Search(n.flat.astype(float), setup, neg_cap, cfg.gradient_step)
 
     mle_state = mle_reconstruct(n, setup, MLEConfig(100))
-    starts = [state_to_cholesky_angles(mle_state).as_vector()]
+    starts = [state_to_cholesky_angles(mle_state)]
     for r in range(cfg.restarts - 1):
         rng = trial_rng(seed, (_TAG_RESTART,), r)
         starts.append(rng.uniform(0.0, np.pi, 15))

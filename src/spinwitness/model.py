@@ -31,7 +31,6 @@ __all__ = [
     "PhysicalConstants",
     "DEFAULT_CONSTANTS",
     "ScenarioParams",
-    "BranchSeparations",
     "CouplingTensor",
     "PhaseRates",
     "PEAReport",
@@ -172,26 +171,11 @@ class ScenarioParams:
         return PhaseRates(rate("LR"), rate("RL"))
 
 
-@dataclass(frozen=True)
-class BranchSeparations:
-    """Distances between the two particles for each branch pair."""
-
-    values: dict
-
-    def __getitem__(self, pair: str) -> float:
-        return self.values[pair]
-
-    @property
-    def closest(self) -> float:
-        return min(self.values.values())
-
-
-def branch_separations(p: ScenarioParams) -> BranchSeparations:
-    """d_LL = d_RR = d, d_LR = d - 2*delta (closest approach), d_RL = d + 2*delta."""
+def branch_separations(p: ScenarioParams) -> dict:
+    """Distance between the two particles for each branch pair: d_LL = d_RR
+    = d, d_LR = d - 2*delta (closest approach), d_RL = d + 2*delta."""
     d, delta = p.separation_d, p.half_split_delta
-    return BranchSeparations({
-        "LL": d, "LR": d - 2 * delta, "RL": d + 2 * delta, "RR": d,
-    })
+    return {"LL": d, "LR": d - 2 * delta, "RL": d + 2 * delta, "RR": d}
 
 
 @dataclass(frozen=True)
@@ -304,10 +288,16 @@ def pea_corrections(p: ScenarioParams, tau: float) -> PEAReport:
     q2 = abs(coupling_tensor(p, 2).fastest)
     q4 = abs(coupling_tensor(p, 4).fastest)
     m, omega = p.mass, p.trap_omega
-    phase_corr = c.G ** 2 * m ** 3 * tau ** 3 * q4 / (6 * c.hbar)
-    # |theta|^2 = (G m Q2 tau)^2/2 * [(tau^2/4)(m w/hbar) + m/(hbar w)]
-    theta_sq = (c.G * m * q2 * tau) ** 2 / 2 * (
-        (tau ** 2 / 4) * (m * omega / c.hbar) + m / (c.hbar * omega))
+    try:
+        phase_corr = c.G ** 2 * m ** 3 * tau ** 3 * q4 / (6 * c.hbar)
+        # |theta|^2 = (G m Q2 tau)^2/2 * [(tau^2/4)(m w/hbar) + m/(hbar w)]
+        theta_sq = (c.G * m * q2 * tau) ** 2 / 2 * (
+            (tau ** 2 / 4) * (m * omega / c.hbar) + m / (c.hbar * omega))
+    except OverflowError:  # a float power raises; a product turns inf
+        phase_corr = theta_sq = math.inf
+    if not (math.isfinite(phase_corr) and math.isfinite(theta_sq)):
+        raise OverflowError(f"fall time tau = {tau:g} s overflows the "
+                            "point-particle corrections")
     kappa = p.half_split_delta * np.sqrt(m * omega / (2 * c.hbar))
     return PEAReport(
         theta_magnitude=float(np.sqrt(theta_sq)),

@@ -16,7 +16,6 @@ __all__ = [
     "PauliObservable",
     "MeasurementBasis",
     "MeasurementSetup",
-    "CholeskyAngles",
     "pauli_tensor",
     "eigenbasis",
     "expectation",
@@ -197,38 +196,6 @@ def dephase(rho: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CholeskyAngles:
-    """Hypersphere coordinates of the Cholesky factor of a two-qubit state.
-
-    ``thetas`` (9 angles) set the magnitudes of the ten lower-triangular
-    entries of L through the usual 9-sphere recursion, ``phis`` (6 angles)
-    are the phases of the six strictly-lower entries. Any real values are
-    valid; the map onto states is periodic.
-    """
-
-    thetas: np.ndarray
-    phis: np.ndarray
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        phis = np.asarray(self.phis, dtype=float)
-        if thetas.shape != (9,) or phis.shape != (6,):
-            raise ValueError("expected 9 thetas and 6 phis")
-        if not (np.isfinite(thetas).all() and np.isfinite(phis).all()):
-            raise ValueError("angles must be finite")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "phis", phis)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.thetas, self.phis])
-
-    @classmethod
-    def from_vector(cls, x) -> "CholeskyAngles":
-        x = np.asarray(x, dtype=float)
-        return cls(x[:9], x[9:])
-
-
 # positions of l_1..l_10 in the lower-triangular factor
 _L_SLOTS = [(0, 0), (1, 1), (2, 2), (3, 3),
             (1, 0), (2, 1), (3, 2),
@@ -239,11 +206,14 @@ _L_ROWS, _L_COLS = np.array(_L_SLOTS).T
 def cholesky_to_state(angles) -> np.ndarray:
     """L L^dagger: always Hermitian, PSD and unit trace by construction.
 
-    ``angles`` is a :class:`CholeskyAngles` or an array of shape (..., 15),
-    9 thetas then 6 phis; a stack of angle vectors gives a stack of states.
+    ``angles`` has shape (..., 15): the hypersphere coordinates of the
+    Cholesky factor L, 9 thetas then 6 phis. The thetas set the magnitudes
+    of the ten lower-triangular entries of L through the usual 9-sphere
+    recursion, the phis the phases of the six strictly-lower entries. Any
+    finite values are valid; the map onto states is periodic. A stack of
+    angle vectors gives a stack of states.
     """
-    x = angles.as_vector() if isinstance(angles, CholeskyAngles) \
-        else np.asarray(angles, dtype=float)
+    x = np.asarray(angles, dtype=float)
     if x.shape[-1:] != (15,):
         raise ValueError(f"expected 9 thetas and 6 phis, got shape {x.shape}")
     if not np.isfinite(x).all():
@@ -263,9 +233,10 @@ def cholesky_to_state(angles) -> np.ndarray:
     return L @ L.conj().swapaxes(-1, -2)
 
 
-def state_to_cholesky_angles(rho: np.ndarray) -> CholeskyAngles:
-    """Angle coordinates whose state reproduces ``rho`` (up to the 1e-12
-    eigenvalue floor needed to Cholesky-factor rank-deficient states)."""
+def state_to_cholesky_angles(rho: np.ndarray) -> np.ndarray:
+    """The (15,) angles, 9 thetas then 6 phis, whose state reproduces ``rho``
+    (up to the 1e-12 eigenvalue floor needed to Cholesky-factor
+    rank-deficient states)."""
     w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
     w = np.clip(w, 1e-12, None)
     reg = (v * w) @ v.conj().T
@@ -280,7 +251,7 @@ def state_to_cholesky_angles(rho: np.ndarray) -> CholeskyAngles:
         thetas[k] = np.arccos(c)
         prod *= np.sin(thetas[k])
     phis = np.array([np.angle(e) if abs(e) > 1e-300 else 0.0 for e in entries[4:]])
-    return CholeskyAngles(thetas, phis)
+    return np.concatenate([thetas, phis])
 
 
 def check_density_matrix(rho: np.ndarray) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.optimize import brentq
 
 from .model import ScenarioParams, spin_state
 from .qstate import MeasurementSetup, eigenbasis
-from .witnesses import W1_OBSERVABLES, optimal_fall_time, w1, w1_expectation_closed_form
+from .witnesses import W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_form
 
 __all__ = [
     "ProbabilityVector",
@@ -155,9 +156,14 @@ def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
 
 
 def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) -> np.ndarray:
-    """(trials, n_obs, 4) multinomial counts, one substream per trial. One
-    2-D ``multinomial`` call per trial draws the same counts but is slower
-    (numpy 2.4.6, 2-core Xeon: 19 us for 3 rows against 3 us per 1-D call)."""
+    """(trials, n_obs, 4) multinomial counts of N shots per observable, one
+    substream per trial; every Monte Carlo path draws here, so this is where
+    N and ``trials`` are checked. One 2-D ``multinomial`` call per trial
+    draws the same counts but is slower (numpy 2.4.6, 2-core Xeon: 19 us for
+    3 rows against 3 us per 1-D call)."""
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (N, trials)):
+        raise ValueError(f"shot count N and trials must be integers >= 1, "
+                         f"got N={N!r}, trials={trials!r}")
     probs = pv.probs / pv.probs.sum(axis=1, keepdims=True)
     out = np.empty((trials, len(pv.observables), 4), dtype=np.int64)
     for t in range(trials):
@@ -169,8 +175,6 @@ def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) ->
 
 def simulate_measurements(rho: np.ndarray, observables, N: int, seed: int) -> DataVector:
     """One multinomial draw of N outcomes per observable; deterministic in seed."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     pv = outcome_probabilities(rho, observables)
     counts = _draw_counts(pv, N, seed, (_TAG_SIMULATE,), 1)[0]
     return DataVector(counts, N)
@@ -269,24 +273,12 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     rates, lmins = [], []
     for N in shots_per_observable:
         N = int(N)
-        if N < 1:
-            raise ValueError("shot counts must be >= 1")
         lmin = lambda_min(p_0, p_a, N, alpha, lambda_trials, seed)
         counts = _draw_counts(p_data, N, seed, (_TAG_ALT, N), trials)
         lam = _lambda_batch(counts, p_a, p_0)
         rates.append(float(np.mean(lam >= lmin)))
         lmins.append(lmin)
     return rates, lmins
-
-
-def hypothesis_probabilities(p: ScenarioParams, observables):
-    """Outcome probabilities of the alternative (gravity on) and null
-    (gravity off) states at the alternative's optimal W1 fall time."""
-    tau = optimal_fall_time(p, w1()).tau
-    rho_a = spin_state(p.with_hypothesis(True), tau)
-    rho_0 = spin_state(p.with_hypothesis(False), tau)
-    return (outcome_probabilities(rho_a, observables),
-            outcome_probabilities(rho_0, observables))
 
 
 def distinction_success_rate(p: ScenarioParams, observables, shots_per_observable,
@@ -301,7 +293,9 @@ def distinction_success_rate(p: ScenarioParams, observables, shots_per_observabl
     """
     if data_from not in ("alt", "null"):
         raise ValueError("data_from must be 'alt' or 'null'")
-    p_a, p_0 = hypothesis_probabilities(p, observables)
+    tau = optimal_fall_time(p).tau
+    p_a = outcome_probabilities(spin_state(p.with_hypothesis(True), tau), observables)
+    p_0 = outcome_probabilities(spin_state(p.with_hypothesis(False), tau), observables)
     p_data = p_a if data_from == "alt" else p_0
     rates, lmins = success_rate_curve(p_data, p_a, p_0, shots_per_observable,
                                       alpha, trials, seed, lambda_trials)
@@ -318,7 +312,7 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
     state is negative: 1 - <XX> - <ZY> - <YZ> with each term the empirical
     mean of N +-1 outcomes."""
     if tau is None:
-        tau = optimal_fall_time(p, w1()).tau
+        tau = optimal_fall_time(p).tau
     rho_a = spin_state(p.with_hypothesis(True), tau)
     pv = outcome_probabilities(rho_a, W1_OBSERVABLES)
     signs = eigenbasis(W1_OBSERVABLES[0]).eigenvalues  # (+,-,-,+) for all three
@@ -369,7 +363,7 @@ def differential_success_rate(p: ScenarioParams, shots_per_observable, alpha: fl
     """Distinction success rate against the hardest gravity-free hypothesis:
     the null coupling is rescaled so both hypotheses share the W1 expectation
     at its optimal fall time, leaving only the per-observable discrepancies."""
-    tau = optimal_fall_time(p, w1()).tau
+    tau = optimal_fall_time(p).tau
     scale = match_alpha(p, tau)
     rho_a = spin_state(p.with_hypothesis(True), tau)
     rho_0 = spin_state(p.with_hypothesis(False, cp_scale=p.cp_scale * scale), tau)

@@ -12,7 +12,7 @@ from .model import ScenarioParams, spin_state
 from .qstate import MeasurementSetup, fidelity, negativity
 from .stats import (DataVector, SuccessRateReport, _draw_counts,
                     distinction_success_rate, outcome_probabilities)
-from .witnesses import optimal_fall_time, w1
+from .witnesses import optimal_fall_time
 
 __all__ = [
     "TOMOGRAPHY_OBSERVABLES",
@@ -123,7 +123,7 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
     its rounding. Both states are taken at the optimal W1 fall time."""
     N = _check_total(shots_per_tomography)
     setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
-    tau = optimal_fall_time(p, w1()).tau
+    tau = optimal_fall_time(p).tau
     counts_a = _tomo_counts(spin_state(p.with_hypothesis(True), tau), N, seed,
                             _TAG_TOMO_ALT, trials)
     counts_0 = _tomo_counts(spin_state(p.with_hypothesis(False), tau), N, seed,
@@ -144,7 +144,7 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     if hypothesis not in ("alt", "null"):
         raise ValueError("hypothesis must be 'alt' or 'null'")
     N = _check_total(shots_per_tomography)
-    tau = optimal_fall_time(p, w1()).tau
+    tau = optimal_fall_time(p).tau
     rho = spin_state(p.with_hypothesis(hypothesis == "alt"), tau)
     tag = _TAG_FID if hypothesis == "alt" else _TAG_FID + 1
     counts = _tomo_counts(rho, N, seed, tag, trials)

@@ -89,7 +89,7 @@ def w1_threshold(p: ScenarioParams) -> float:
 
 @dataclass(frozen=True)
 class OptimalFallTime:
-    """Minimizer of the witness expectation; ``witnessing`` is False when the
+    """Minimizer of the W1 expectation; ``witnessing`` is False when the
     minimum is non-negative."""
 
     tau: float
@@ -117,10 +117,10 @@ def _golden_min(f, lo: float, hi: float):
     return x, f(x)
 
 
-def optimal_fall_time(p: ScenarioParams, w: WitnessSpec,
-                      tau_max: float | None = None) -> OptimalFallTime:
-    """Fall time minimizing the witness expectation for the alternative
-    (gravity-on) hypothesis: a 2000-point grid scan refined by golden section.
+def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> OptimalFallTime:
+    """Fall time minimizing the W1 expectation for the alternative
+    (gravity-on) hypothesis: the closed form on a 2000-point grid, refined
+    by golden section.
 
     The default window covers two periods of the separability phase:
     tau_max = 4 pi / (omega_LR + omega_RL).
@@ -135,15 +135,11 @@ def optimal_fall_time(p: ScenarioParams, w: WitnessSpec,
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
 
+    def f(t):
+        return float(w1_expectation_closed_form(alt, float(t)))
+
     grid = np.linspace(0.0, tau_max, 2000)
-    if w.terms == w1().terms:
-        def f(t):
-            return float(w1_expectation_closed_form(alt, float(t)))
-        vals = w1_expectation_closed_form(alt, grid)
-    else:
-        def f(t):
-            return witness_expectation(alt, float(t), w)
-        vals = np.array([f(t) for t in grid])
+    vals = w1_expectation_closed_form(alt, grid)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -133,7 +133,7 @@ def test_criterion_04_witness_scans():
 
 def test_criterion_05_optimal_fall_time():
     results = []
-    opt = optimal_fall_time(P350_03, w1())
+    opt = optimal_fall_time(P350_03)
     check(results, "tau* = 0.34 +- 0.01 s (d=350, gamma=0.3)",
           abs(opt.tau - 0.34) <= 0.01, f"got {opt.tau:.4f}")
     conclude("criterion 5: optimal fall time", results)
@@ -141,7 +141,7 @@ def test_criterion_05_optimal_fall_time():
 
 def test_criterion_06_alpha_matching():
     results = []
-    tau = optimal_fall_time(P350_03, w1()).tau
+    tau = optimal_fall_time(P350_03).tau
     scale = sw.match_alpha(P350_03, tau)
     check(results, "matched scale 1.087 +- 0.003",
           abs(scale - 1.087) <= 0.003, f"got {scale:.4f}")
@@ -259,7 +259,7 @@ def test_criterion_10_loophole():
     check(results, "reference state negativity 0.104 +- 0.003",
           abs(neg_ref - 0.104) <= 0.003, f"got {neg_ref:.4f}")
 
-    tau = optimal_fall_time(P350_03, w1()).tau
+    tau = optimal_fall_time(P350_03).tau
     rho_a = spin_state(P350_03.with_hypothesis(True), tau)
     rho_0 = spin_state(P350_03.with_hypothesis(False), tau)
     neg_0 = sw.negativity(rho_0)

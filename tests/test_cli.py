@@ -53,6 +53,8 @@ MISTYPED = [
     ("loophole", {"loophole": {"restarts": True}}, "loophole.restarts must be an integer"),
     ("loophole", {"loophole": {"gradient_step": math.nan}},
      "gradient_step must be finite and > 0"),
+    ("loophole", {"loophole": {"gradient_step": 4.0}}, "gradient_step must be "
+     "finite and > 0 and < pi"),
     ("pea", {"scenario": {"gravity_on": "no"}}, "gravity_on must be a bool"),
     ("pea", {"scenario": {"separation_d": True}}, "separation_d must be a real number"),
 ]
@@ -309,7 +311,8 @@ class TestErrors:
         # tau ** 3 in pea_corrections overflows a float
         cfg = write_config(tmp_path, {"pea": {"taus": [1e200]}})
         assert run(["pea", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "1e+200" in err
 
     @pytest.mark.parametrize("command, config, message", MISTYPED,
                              ids=[json.dumps(c) for _, c, _ in MISTYPED])

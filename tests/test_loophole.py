@@ -8,10 +8,10 @@ import spinwitness.loophole as lh
 from spinwitness.cli import cmd_loophole
 from spinwitness.loophole import (KNOWN_LOOPHOLE_STATE, InfeasibleSearchError,
                                   OptimizationConfig, find_loophole_state,
-                                  neg_log_likelihood, state_neg_log_likelihood,
+                                  state_neg_log_likelihood,
                                   verify_loophole)
 from spinwitness.model import ScenarioParams, spin_state
-from spinwitness.qstate import (CholeskyAngles, MeasurementSetup,
+from spinwitness.qstate import (MeasurementSetup,
                                 check_density_matrix, cholesky_to_state,
                                 fidelity, negativity, partial_transpose)
 from spinwitness.stats import DataVector, simulate_measurements
@@ -19,13 +19,13 @@ from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES, mle_reconstruct
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
 
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
-TAU = optimal_fall_time(P350, w1()).tau
+TAU = optimal_fall_time(P350).tau
 RHO_A = spin_state(P350.with_hypothesis(True), TAU)
 RHO_0 = spin_state(P350.with_hypothesis(False), TAU)
 
-MIXED_ANGLES = CholeskyAngles(
-    np.array([np.pi / 3, np.arccos(1 / np.sqrt(3)), np.pi / 4,
-              0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), np.zeros(6))
+#: 9 thetas then 6 phis of the maximally mixed state
+MIXED_ANGLES = np.array([np.pi / 3, np.arccos(1 / np.sqrt(3)), np.pi / 4,
+                         *np.zeros(12)])
 
 
 def witness_data(seed: int, shots: int = 1000) -> DataVector:
@@ -36,7 +36,8 @@ class TestNegLogLikelihood:
     def test_uniform_data_on_maximally_mixed(self):
         counts = np.full((3, 4), 25, dtype=np.int64)
         data = DataVector(counts, 100)
-        value = neg_log_likelihood(MIXED_ANGLES, data, W1_OBSERVABLES)
+        value = state_neg_log_likelihood(cholesky_to_state(MIXED_ANGLES), data,
+                                         W1_OBSERVABLES)
         assert value == pytest.approx(300 * np.log(4), rel=1e-12)
 
     def test_uniform_data_minimized_by_maximally_mixed(self, rng):
@@ -44,18 +45,20 @@ class TestNegLogLikelihood:
         # equality only at the uniform distribution
         counts = np.full((3, 4), 25, dtype=np.int64)
         data = DataVector(counts, 100)
-        best = neg_log_likelihood(MIXED_ANGLES, data, W1_OBSERVABLES)
+        best = state_neg_log_likelihood(cholesky_to_state(MIXED_ANGLES), data,
+                                        W1_OBSERVABLES)
         for _ in range(1000):
-            angles = CholeskyAngles(rng.uniform(0, np.pi, 9),
-                                    rng.uniform(0, 2 * np.pi, 6))
-            assert neg_log_likelihood(angles, data, W1_OBSERVABLES) >= best - 1e-9
+            angles = np.concatenate([rng.uniform(0, np.pi, 9),
+                                     rng.uniform(0, 2 * np.pi, 6)])
+            rho = cholesky_to_state(angles)
+            assert state_neg_log_likelihood(rho, data, W1_OBSERVABLES) >= best - 1e-9
 
     def test_impossible_outcome_gives_infinity(self):
         # |00><00| assigns zero probability to the ZZ outcome |01>
         counts = np.array([[0, 5, 0, 0]], dtype=np.int64)
         data = DataVector(counts, 5)
-        angles = CholeskyAngles(np.zeros(9), np.zeros(6))
-        assert neg_log_likelihood(angles, data, (("Z", "Z"),)) == np.inf
+        rho = cholesky_to_state(np.zeros(15))
+        assert state_neg_log_likelihood(rho, data, (("Z", "Z"),)) == np.inf
 
     def test_reference_state_witness_indistinguishable(self):
         # the reference state reproduces the three witness correlators of the
@@ -211,7 +214,7 @@ def _oracle(counts, setup, neg_cap, seen):
     offered, as the incumbent saw them."""
 
     def nll_of(x):
-        rho = cholesky_to_state(CholeskyAngles.from_vector(x))
+        rho = cholesky_to_state(x)
         probs = setup.probabilities(rho)
         active = counts > 0
         if np.any(probs[active] <= 0.0):
@@ -219,7 +222,7 @@ def _oracle(counts, setup, neg_cap, seen):
         return float(-np.sum(counts[active] * np.log(probs[active])))
 
     def neg_of(x):
-        rho = cholesky_to_state(CholeskyAngles.from_vector(x))
+        rho = cholesky_to_state(x)
         ev = np.linalg.eigvalsh(partial_transpose(rho))
         return float(-ev[ev < 0].sum())
 
@@ -289,9 +292,10 @@ class TestBatchedJacobians:
         rng = np.random.default_rng(5)
         data = simulate_measurements(RHO_A, TOMOGRAPHY_OBSERVABLES, 2, seed=9)
         angles = rng.uniform(0.0, np.pi, (3, 7, 15))
-        stack = neg_log_likelihood(angles, data, TOMOGRAPHY_OBSERVABLES)
+        stack = state_neg_log_likelihood(cholesky_to_state(angles), data,
+                                         TOMOGRAPHY_OBSERVABLES)
         assert stack.shape == (3, 7)
-        loop = [[neg_log_likelihood(CholeskyAngles.from_vector(a), data,
-                                    TOMOGRAPHY_OBSERVABLES) for a in row]
+        loop = [[state_neg_log_likelihood(cholesky_to_state(a), data,
+                                          TOMOGRAPHY_OBSERVABLES) for a in row]
                 for row in angles]
         assert np.array_equal(stack, loop)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -80,7 +81,8 @@ class TestBranchSeparations:
         assert seps["LL"] == pytest.approx(450e-6)
         assert seps["RR"] == pytest.approx(450e-6)
         assert seps["RL"] == pytest.approx(700e-6)
-        assert seps.closest == pytest.approx(200e-6)
+        assert set(seps) == set(PAIRS)
+        assert min(seps.values()) == pytest.approx(200e-6)
 
     def test_zero_split(self):
         seps = branch_separations(dataclasses.replace(P450, half_split_delta=0.0))
@@ -88,7 +90,7 @@ class TestBranchSeparations:
 
     def test_close_setup(self):
         seps = branch_separations(P350)
-        assert seps.closest == pytest.approx(100e-6)
+        assert min(seps.values()) == pytest.approx(100e-6)
 
 
 class TestCouplingTensor:
@@ -314,6 +316,13 @@ class TestPeaCorrections:
     def test_invalid_tau_rejected(self, tau):
         # a NaN tau used to give a report of NaN fields
         with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            pea_corrections(P450, tau)
+
+    @pytest.mark.parametrize("tau", [1e90, 1e200])
+    def test_overflowing_tau_raises_naming_it(self, tau):
+        # at 1e90 s theta_sq overflows to inf in a product, at 1e200 s the
+        # float power tau ** 3 raises
+        with pytest.raises(OverflowError, match=re.escape(f"tau = {tau:g} s")):
             pea_corrections(P450, tau)
 
     def test_kappa(self):

@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinwitness.qstate import (PAULI, CholeskyAngles, MeasurementSetup,
+from spinwitness.qstate import (PAULI, MeasurementSetup,
                                 check_density_matrix,
                                 cholesky_to_state, dephase, eigenbasis,
                                 expectation, fidelity, negativity,
@@ -280,7 +280,7 @@ def test_eigh_residual_contract(rng):
 
 class TestCholesky:
     def test_all_zero_angles(self):
-        rho = cholesky_to_state(CholeskyAngles(np.zeros(9), np.zeros(6)))
+        rho = cholesky_to_state(np.zeros(15))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1
         assert np.allclose(rho, expected, atol=1e-15)
@@ -289,12 +289,12 @@ class TestCholesky:
         # diagonal entries 1/2 each: cos(t1)=1/2, sin(t1)cos(t2)=1/2, ...
         thetas = np.array([np.pi / 3, np.arccos(1 / np.sqrt(3)), np.pi / 4,
                            0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        rho = cholesky_to_state(CholeskyAngles(thetas, np.zeros(6)))
+        rho = cholesky_to_state(np.concatenate([thetas, np.zeros(6)]))
         assert np.allclose(rho, np.eye(4) / 4, atol=1e-12)
 
     def test_random_angles_always_valid(self, rng):
         for _ in range(10000):
-            angles = CholeskyAngles(rng.uniform(-4, 4, 9), rng.uniform(-4, 4, 6))
+            angles = np.concatenate([rng.uniform(-4, 4, 9), rng.uniform(-4, 4, 6)])
             rho = cholesky_to_state(angles)
             check_density_matrix(rho)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -303,13 +303,14 @@ class TestCholesky:
         for _ in range(20):
             rho = random_state(rng)
             angles = state_to_cholesky_angles(rho)
+            assert angles.shape == (15,)
             assert np.abs(cholesky_to_state(angles) - rho).max() < 1e-9
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            CholeskyAngles(np.zeros(8), np.zeros(6))
-        with pytest.raises(ValueError):
-            CholeskyAngles(np.full(9, np.nan), np.zeros(6))
+        with pytest.raises(ValueError, match="9 thetas and 6 phis"):
+            cholesky_to_state(np.zeros(14))
+        with pytest.raises(ValueError, match="finite"):
+            cholesky_to_state(np.concatenate([np.full(9, np.nan), np.zeros(6)]))
         with pytest.raises(ValueError, match="9 thetas and 6 phis"):
             cholesky_to_state(np.zeros((3, 14)))
         bad = np.zeros((3, 15))
@@ -323,9 +324,8 @@ class TestCholesky:
         assert stack.shape == (2, 30, 4, 4)
         for i in range(2):
             for k in range(30):
-                one = cholesky_to_state(CholeskyAngles.from_vector(x[i, k]))
+                one = cholesky_to_state(x[i, k])
                 assert np.array_equal(stack[i, k], one)
-                assert np.array_equal(cholesky_to_state(x[i, k]), one)
 
 
 @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3).flatmap(

@@ -16,8 +16,8 @@ from spinwitness.stats import (DataVector, ProbabilityVector, _lambda_batch,
                                outcome_probabilities, simulate_measurements,
                                success_rate_curve, trial_rng,
                                witness_negative_probability)
-from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1, \
-    w1_expectation_closed_form
+from spinwitness.witnesses import (W1_OBSERVABLES, optimal_fall_time,
+                                   w1_expectation_closed_form)
 from conftest import random_state
 
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
@@ -42,7 +42,7 @@ class TestProbabilityVector:
         assert np.allclose(pv.probs, [[1, 0, 0, 0]], atol=1e-12)
 
     def test_blocks_sum_to_one_and_match_projector_traces(self, rng):
-        tau = optimal_fall_time(P450, w1()).tau
+        tau = optimal_fall_time(P450).tau
         rho = spin_state(P450, tau)
         pv = outcome_probabilities(rho, W1_OBSERVABLES)
         assert np.abs(pv.probs.sum(axis=1) - 1).max() <= 1e-10
@@ -141,6 +141,26 @@ class TestSimulateMeasurements:
             DataVector(np.array([[-1, 2, 3, 6]]), 10)
 
 
+class TestMonteCarloSizes:
+    """Every Monte Carlo path draws through one check on the shot count N
+    and the trial count."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: witness_negative_probability(P450, [0], 100, 0),
+        lambda: witness_negative_probability(P450, [10], 0, 0),
+        lambda: success_rate_curve(*[outcome_probabilities(np.eye(4) / 4, ZZ)] * 3,
+                                   [0], 0.01, 100, 0, lambda_trials=100),
+        lambda: simulate_measurements(np.eye(4) / 4, ZZ, 0, seed=0),
+        lambda: simulate_measurements(np.eye(4) / 4, ZZ, 2.5, seed=0),
+        lambda: tomography.negativity_exceedance(P350, 9, 0, 0),
+        lambda: tomography.reconstruction_batch(P350, 9, 0, 0),
+    ], ids=["witneg-N0", "witneg-trials0", "curve-N0", "simulate-N0",
+            "simulate-N2.5", "exceedance-trials0", "batch-trials0"])
+    def test_non_positive_or_fractional_size_raises(self, call):
+        with pytest.raises(ValueError, match="N and trials must be integers >= 1"):
+            call()
+
+
 class TestLogLikelihoodRatio:
     def test_equal_hypotheses_give_zero(self, rng):
         rho = random_state(rng)
@@ -174,7 +194,7 @@ class TestLogLikelihoodRatio:
                 -2 * math.log(product), abs=1e-9)
 
     def test_alternative_data_is_positive_with_high_frequency(self, rng):
-        tau = optimal_fall_time(P450, w1()).tau
+        tau = optimal_fall_time(P450).tau
         p_a = outcome_probabilities(spin_state(P450.with_hypothesis(True), tau),
                                     W1_OBSERVABLES)
         p_0 = outcome_probabilities(spin_state(P450.with_hypothesis(False), tau),
@@ -209,7 +229,7 @@ class TestLogLikelihoodRatio:
         # larger batch has the bits of its single-row call
         pa = pv_from_rows(ZZ, [[0.25, 0.25, 0.5, 0.0]])
         p0 = pv_from_rows(ZZ, [[0.5, 0.0, 0.25, 0.25]])
-        tau = optimal_fall_time(P450, w1()).tau
+        tau = optimal_fall_time(P450).tau
         p_a = outcome_probabilities(spin_state(P450.with_hypothesis(True), tau),
                                     W1_OBSERVABLES)
         p_0 = outcome_probabilities(spin_state(P450.with_hypothesis(False), tau),
@@ -420,12 +440,12 @@ class TestMatchAlpha:
         assert match_alpha(p, 0.34) == pytest.approx(1.0, abs=1e-6)
 
     def test_close_setup_anchor(self):
-        tau = optimal_fall_time(P350, w1()).tau
+        tau = optimal_fall_time(P350).tau
         scale = match_alpha(P350, tau)
         assert scale == pytest.approx(1.087, abs=0.003)
 
     def test_matched_scale_closes_witness_gap(self):
-        tau = optimal_fall_time(P350, w1()).tau
+        tau = optimal_fall_time(P350).tau
         scale = match_alpha(P350, tau)
         alt = w1_expectation_closed_form(P350.with_hypothesis(True), tau)
         null = w1_expectation_closed_form(
@@ -443,7 +463,7 @@ class TestMatchAlpha:
 
 class TestDifferential:
     def test_pauli_discrepancy_survives_matching(self):
-        tau = optimal_fall_time(P350, w1()).tau
+        tau = optimal_fall_time(P350).tau
         scale = match_alpha(P350, tau)
         rho_a = spin_state(P350.with_hypothesis(True), tau)
         rho_0 = spin_state(P350.with_hypothesis(False, cp_scale=scale), tau)
@@ -456,5 +476,5 @@ class TestDifferential:
                                         trials=400, seed=2, lambda_trials=2000)
         assert rep.rates[1] > rep.rates[0]
         # the report carries the fall time and coupling rescale it used
-        assert rep.tau == optimal_fall_time(P350, w1()).tau
+        assert rep.tau == optimal_fall_time(P350).tau
         assert rep.matched_cp_scale == match_alpha(P350, rep.tau)

@@ -13,7 +13,7 @@ from spinwitness.tomography import (MLEConfig, TOMOGRAPHY_OBSERVABLES,
                                     mle_reconstruct, negativity_exceedance,
                                     r_operator, reconstruction_batch,
                                     tomographic_success_rate)
-from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
+from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time
 from conftest import random_state
 
 P450 = ScenarioParams(dephasing_gamma=0.03)
@@ -87,7 +87,7 @@ class TestMLE:
         assert np.abs(rho - np.eye(4) / 4).max() <= 1e-12
 
     def test_likelihood_non_decreasing(self, rng):
-        tau = optimal_fall_time(P450, w1()).tau
+        tau = optimal_fall_time(P450).tau
         truth = spin_state(P450, tau)
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 30, seed=5)
         iterates = [mle_reconstruct(data, SETUP, MLEConfig(k))
@@ -100,14 +100,14 @@ class TestMLE:
         assert np.all(np.diff(loglik) >= -1e-12)
 
     def test_reconstruction_converges_to_truth(self):
-        tau = optimal_fall_time(P450, w1()).tau
+        tau = optimal_fall_time(P450).tau
         truth = spin_state(P450, tau)
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 20000, seed=8)
         rho = mle_reconstruct(data, SETUP)
         assert fidelity(rho, truth) > 0.999
 
     def test_one_row_stack_equals_data_vector_call(self):
-        truth = spin_state(P350, optimal_fall_time(P350, w1()).tau)
+        truth = spin_state(P350, optimal_fall_time(P350).tau)
         for seed in range(5):
             data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 10, seed=seed)
             single = mle_reconstruct(data, SETUP)
@@ -116,7 +116,7 @@ class TestMLE:
             assert np.array_equal(stack[0], single)
 
     def test_stack_rows_match_single_calls(self):
-        truth = spin_state(P350, optimal_fall_time(P350, w1()).tau)
+        truth = spin_state(P350, optimal_fall_time(P350).tau)
         data = [simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 10, seed=s)
                 for s in range(40)]
         stack = mle_reconstruct(np.array([d.flat for d in data]), SETUP)

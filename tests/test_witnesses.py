@@ -121,14 +121,14 @@ class TestThreshold:
 
 class TestOptimalFallTime:
     def test_close_setup_anchor(self):
-        opt = optimal_fall_time(P350, w1())
+        opt = optimal_fall_time(P350)
         assert opt.tau == pytest.approx(0.34, abs=0.01)
         assert opt.witnessing
         assert opt.expectation < 0
 
     def test_tiny_window_minimizer_at_edge(self):
         p = dataclasses.replace(P450_GRAV, dephasing_gamma=0.0)
-        opt = optimal_fall_time(p, w1(), tau_max=0.05)
+        opt = optimal_fall_time(p, tau_max=0.05)
         # expectation decreases from zero, so the window edge wins
         assert opt.tau == pytest.approx(0.05, abs=1e-3)
         assert opt.expectation == pytest.approx(
@@ -139,13 +139,13 @@ class TestOptimalFallTime:
 
     def test_non_witnessing_flag(self):
         p = dataclasses.replace(P450_GRAV, dephasing_gamma=5.0)
-        opt = optimal_fall_time(p, w1(), tau_max=5.0)
+        opt = optimal_fall_time(p, tau_max=5.0)
         assert not opt.witnessing
         assert opt.expectation >= 0
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            optimal_fall_time(P350, w1(), tau_max=-1.0)
+            optimal_fall_time(P350, tau_max=-1.0)
 
 
 def oracle_optimal_fall_time(p, tau_max=None):
@@ -192,12 +192,12 @@ class TestOptimalFallTimeOracle:
         (dataclasses.replace(P450_GRAV, dephasing_gamma=5.0), 5.0),
     ])
     def test_fixed_scenarios(self, p, tau_max):
-        assert optimal_fall_time(p, w1(), tau_max) == oracle_optimal_fall_time(p, tau_max)
+        assert optimal_fall_time(p, tau_max) == oracle_optimal_fall_time(p, tau_max)
 
     def test_random_scenarios(self, rng):
         for _ in range(100):
             p = random_scenario(rng)
-            assert optimal_fall_time(p, w1()) == oracle_optimal_fall_time(p)
+            assert optimal_fall_time(p) == oracle_optimal_fall_time(p)
 
 
 class TestScan:
