@@ -100,17 +100,14 @@ def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
     with np.errstate(invalid="ignore"):  # an infinite tau_max fails in spin_state
         taus = np.linspace(0.0, opts["tau_max"], opts["points"])
     tau_cells = [_G(t) for t in taus]
-    states = np.empty((taus.size, 4, 4), dtype=complex)
     for gamma in opts["gammas"]:
         pg = replace(p, dephasing_gamma=gamma)
         tag, gamma_cell = _G(gamma), _G(pg.dephasing_gamma)
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
             _write_scan(out / f"witness_{name}_gamma{tag}.csv", tau_cells,
                         witnesses.witness_scan(pg, w, taus).values, gamma_cell)
-        for i, t in enumerate(taus):
-            states[i] = model.spin_state(pg, t)
         _write_scan(out / f"negativity_gamma{tag}.csv", tau_cells,
-                    negativity(states), gamma_cell)
+                    negativity(model.spin_state(pg, taus)), gamma_cell)
 
 
 def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:

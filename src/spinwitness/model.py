@@ -245,23 +245,28 @@ def phase_rates(p: ScenarioParams) -> PhaseRates:
 _MISMATCHES = np.array([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
 
 
-def spin_state(p: ScenarioParams, tau: float) -> np.ndarray:
-    """Two-qubit spin state after free fall of duration ``tau``.
+def spin_state(p: ScenarioParams, tau) -> np.ndarray:
+    """Two-qubit spin state after free fall of duration ``tau``: a 4x4
+    matrix for a scalar, a ``(..., 4, 4)`` stack for an array of times.
 
     The undamped state is the projector onto
     (|00> + e^{i phi_RL}|01> + e^{i phi_LR}|10> + |11>)/2 with
     phi_mn = omega_mn * tau; dephasing at rate gamma damps coherences by
     e^{-gamma tau} per mismatched qubit.
     """
-    if not (math.isfinite(tau) and tau >= 0):
+    tau = np.asarray(tau, dtype=float)
+    if not (np.isfinite(tau) & (tau >= 0)).all():
         raise ValueError("tau must be finite and >= 0")
     w = phase_rates(p)
-    amps = np.array([1.0,
-                     np.exp(1j * w.omega_rl * tau),
-                     np.exp(1j * w.omega_lr * tau),
-                     1.0]) / 2.0
-    e1 = np.exp(-p.dephasing_gamma * tau)
-    return amps[:, None] * amps.conj() * np.array([1.0, e1, e1 * e1])[_MISMATCHES]
+    amps = np.full(tau.shape + (4,), 0.5, dtype=complex)
+    amps[..., 1] = np.exp(1j * w.omega_rl * tau) / 2.0
+    amps[..., 2] = np.exp(1j * w.omega_lr * tau) / 2.0
+    damp = np.ones(tau.shape + (3,))
+    e1 = damp[..., 1] = np.exp(-p.dephasing_gamma * tau)
+    damp[..., 2] = e1 * e1
+    rho = amps[..., :, None] * amps.conj()[..., None, :]
+    rho *= damp.take(_MISMATCHES, axis=-1)
+    return rho
 
 
 @dataclass(frozen=True)

@@ -272,7 +272,6 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     _check_alpha(alpha)
     rates, lmins = [], []
     for N in shots_per_observable:
-        N = int(N)
         lmin = lambda_min(p_0, p_a, N, alpha, lambda_trials, seed)
         counts = _draw_counts(p_data, N, seed, (_TAG_ALT, N), trials)
         lam = _lambda_batch(counts, p_a, p_0)
@@ -318,7 +317,6 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
     signs = eigenbasis(W1_OBSERVABLES[0]).eigenvalues  # (+,-,-,+) for all three
     rates = []
     for N in shots_per_observable:
-        N = int(N)
         counts = _draw_counts(pv, N, seed, (_TAG_WITNEG, N), trials)
         means = (counts * signs).sum(axis=2) / N
         estimate = 1.0 - means.sum(axis=1)

@@ -96,7 +96,7 @@ def mle_reconstruct(n, setup: MeasurementSetup, cfg: MLEConfig = MLEConfig()) ->
 
 def _check_total(total_shots: int) -> int:
     if total_shots < 9 or total_shots % 9 != 0:
-        raise ValueError("total shots must be a positive multiple of 9")
+        raise ValueError(f"total shots must be a positive multiple of 9, got {total_shots!r}")
     return total_shots // 9
 
 
@@ -104,7 +104,7 @@ def tomographic_success_rate(p: ScenarioParams, totals, alpha: float, trials: in
                              seed: int, lambda_trials: int = 10000) -> SuccessRateReport:
     """Likelihood-ratio distinction on full-tomography data; shots are split
     evenly over the 9 observables, so totals must be multiples of 9."""
-    per_obs = [_check_total(int(t)) for t in totals]
+    per_obs = [_check_total(t) for t in totals]
     return distinction_success_rate(p, TOMOGRAPHY_OBSERVABLES, per_obs, alpha,
                                     trials, seed, lambda_trials)
 

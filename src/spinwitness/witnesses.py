@@ -58,9 +58,11 @@ def w1() -> WitnessSpec:
                         (-1.0, ("Z", "Y")), (-1.0, ("Y", "Z"))))
 
 
-def witness_expectation(p: ScenarioParams, tau: float, w: WitnessSpec) -> float:
-    """Tr(W rho(p, tau))."""
-    return float((w.matrix() @ spin_state(p, tau)).trace().real)
+def witness_expectation(p: ScenarioParams, tau, w: WitnessSpec) -> np.ndarray | float:
+    """Tr(W rho(p, tau)) for a scalar or an array of times; W is rebuilt per state."""
+    rho = spin_state(p, tau)
+    vals = np.array([float((w.matrix() @ r).trace().real) for r in rho.reshape(-1, 4, 4)])
+    return float(vals[0]) if np.isscalar(tau) else vals.reshape(rho.shape[:-2])
 
 
 def w1_expectation_closed_form(p: ScenarioParams, tau) -> np.ndarray | float:
@@ -170,6 +172,4 @@ class WitnessScan:
 
 
 def witness_scan(p: ScenarioParams, w: WitnessSpec, taus) -> WitnessScan:
-    taus = np.asarray(taus, dtype=float)
-    vals = np.array([witness_expectation(p, t, w) for t in taus])
-    return WitnessScan(taus, vals, p.dephasing_gamma)
+    return WitnessScan(taus, witness_expectation(p, taus, w), p.dephasing_gamma)

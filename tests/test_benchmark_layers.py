@@ -1,18 +1,27 @@
-"""The per-layer metrics of BENCHMARK.json name functions of the package.
+"""The per-layer metrics of BENCHMARK.json name functions of the package,
+and a traced benchmark run reproduces the harness's exact call counts.
 
 The benchmark's tracer wraps only plain functions (``inspect.isfunction``)
 defined in the module it traces. A metric whose function is missing, renamed
 or hidden behind a wrapper object such as ``functools.lru_cache`` makes the
-traced run fail; this test fails first.
+traced run fail; this test fails first. A change that moves a pinned count
+(``benchmarks/workloads.py`` ``expected_counts``) makes every traced run
+report ``correct: false``; the smoke-size traced repetitions below fail first.
 """
 import importlib
 import inspect
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import run as bench_run  # noqa: E402
+import workloads  # noqa: E402
 
 #: metrics that count something other than calls of a package function:
 #: SciPy's minimize inside the loophole search, tracer-side counters and ratios
@@ -38,3 +47,26 @@ def test_metric_names_a_plain_package_function(qualname):
     assert inspect.isfunction(fn), f"{qualname} is {fn!r}, not a plain function"
     assert fn.__module__ == module.__name__
     assert attr in getattr(module, "__all__", [attr])
+
+
+@pytest.fixture(scope="module")
+def traced_smoke_reps(tmp_path_factory):
+    """One traced smoke-size repetition per workload, two worker processes
+    at a time."""
+    tmp = tmp_path_factory.mktemp("bench")
+
+    def rep(name):
+        cmds = workloads.commands(name, smoke=True)
+        return cmds, bench_run.run_rep(tmp / name, 0, cmds, True, 170)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(workloads.WORKLOADS, pool.map(rep, workloads.WORKLOADS)))
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_traced_smoke_run_matches_pinned_counts(traced_smoke_reps, workload):
+    cmds, rep = traced_smoke_reps[workload]
+    assert [op["problems"] for op in rep["ops"]] == [[]] * len(cmds)
+    counts = rep["result"]["trace"]
+    expected = workloads.expected_counts(cmds)
+    assert {key: counts.get(key) for key in expected} == expected

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from spinwitness.cli import _COMMANDS, _G, _SECTION_NAME, main
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import check_density_matrix, negativity
+from spinwitness.witnesses import w0, w1, witness_expectation
 from test_golden import CONFIG as GOLDEN_CONFIG, TRIALS as GOLDEN_TRIALS
 
 
@@ -133,6 +134,23 @@ class TestScan:
             lines = (out / f"negativity_gamma{_G(gamma)}.csv").read_text().splitlines()
             assert lines[1:] == [f"{_G(t)},{_G(negativity(spin_state(pg, t)))},{_G(gamma)}"
                                  for t in taus]
+
+    def test_witness_rows_equal_point_by_point_at_benchmark_size(self, tmp_path):
+        # each witness scan is one call over the time grid, which must print
+        # each single point's bits
+        cfg = write_config(tmp_path, {
+            "scenario": SMALL_SCENARIO,
+            "scan": {"gammas": [0.03, 0.3], "tau_max": 30.0, "points": 4801}})
+        out = tmp_path / "scan"
+        assert run(["scan-witness", "--config", cfg, "--out", str(out)]) == 0
+        taus = np.linspace(0.0, 30.0, 4801)
+        for gamma in (0.03, 0.3):
+            pg = ScenarioParams(**{**SMALL_SCENARIO, "dephasing_gamma": gamma})
+            for name, spec in (("w0", w0()), ("w1", w1())):
+                lines = (out / f"witness_{name}_gamma{_G(gamma)}.csv").read_text().splitlines()
+                assert lines[1:] == [
+                    f"{_G(t)},{_G(witness_expectation(pg, t, spec))},{_G(gamma)}"
+                    for t in taus]
 
 
 class TestMonteCarloCommands:

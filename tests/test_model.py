@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinwitness.model import (PAIRS, PhysicalConstants, ScenarioParams,
                                branch_separations, characteristic_time,
@@ -277,7 +280,8 @@ class TestSpinState:
             p = dataclasses.replace(base, dephasing_gamma=gamma,
                                     gravity_on=gravity_on)
             w = phase_rates(p)
-            for tau in np.linspace(0.0, 30.0, 601):
+            taus, formula = np.linspace(0.0, 30.0, 601), []
+            for tau in taus:
                 amps = np.array([1.0, np.exp(1j * w.omega_rl * tau),
                                  np.exp(1j * w.omega_lr * tau), 1.0]) / 2.0
                 e1 = np.exp(-p.dephasing_gamma * tau)
@@ -286,6 +290,34 @@ class TestSpinState:
                                  [e1, e2, 1, e1], [e2, e1, e1, 1]])
                 expected = np.outer(amps, amps.conj()) * damp
                 assert spin_state(p, tau).tobytes() == expected.tobytes()
+                formula.append(expected)
+            # the whole 601-point stack has the bits of the same formula
+            assert spin_state(p, taus).tobytes() == np.array(formula).tobytes()
+
+    def test_zero_dimensional_array_gives_one_matrix(self):
+        rho = spin_state(P450, np.array(3.0))
+        assert rho.shape == (4, 4)
+        assert rho.tobytes() == spin_state(P450, 3.0).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_one_invalid_entry_rejects_the_array(self, bad):
+        taus = np.linspace(0.0, 10.0, 11)
+        taus[4] = bad
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            spin_state(P450, taus)
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            spin_state(P450, taus.reshape(11, 1))
+
+    @given(st.sampled_from([0.0, 0.03, 0.3]), st.booleans(),
+           hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3).flatmap(
+               lambda shape: hnp.arrays(float, shape, elements=st.floats(0, 40))))
+    def test_stack_entries_equal_scalar_calls(self, gamma, gravity_on, taus):
+        p = ScenarioParams(separation_d=350e-6, dephasing_gamma=gamma,
+                           gravity_on=gravity_on)
+        stack = spin_state(p, taus)
+        assert stack.shape == taus.shape + (4, 4)
+        for idx in np.ndindex(taus.shape):
+            assert stack[idx].tobytes() == spin_state(p, float(taus[idx])).tobytes()
 
 
 class TestPeaCorrections:

@@ -154,8 +154,12 @@ class TestMonteCarloSizes:
         lambda: simulate_measurements(np.eye(4) / 4, ZZ, 2.5, seed=0),
         lambda: tomography.negativity_exceedance(P350, 9, 0, 0),
         lambda: tomography.reconstruction_batch(P350, 9, 0, 0),
+        lambda: witness_negative_probability(P450, [2.5], 50, 0),
+        lambda: distinction_success_rate(P350, W1_OBSERVABLES, [3.9], 0.01, 100, 0,
+                                         lambda_trials=100),
     ], ids=["witneg-N0", "witneg-trials0", "curve-N0", "simulate-N0",
-            "simulate-N2.5", "exceedance-trials0", "batch-trials0"])
+            "simulate-N2.5", "exceedance-trials0", "batch-trials0", "witneg-N2.5",
+            "curve-N3.9"])
     def test_non_positive_or_fractional_size_raises(self, call):
         with pytest.raises(ValueError, match="N and trials must be integers >= 1"):
             call()

@@ -196,6 +196,11 @@ class TestDistinction:
         with pytest.raises(ValueError):
             negativity_exceedance(P450, 100, 100, 0)
 
+    def test_fractional_total_raises_naming_it(self):
+        # 18.7 used to run as 18 total shots, 2 per observable
+        with pytest.raises(ValueError, match=r"multiple of 9, got 18\.7"):
+            tomographic_success_rate(P450, [18.7], 0.01, 100, 0, lambda_trials=100)
+
     def test_identical_hypotheses_control(self):
         rep = distinction_success_rate(P350, TOMOGRAPHY_OBSERVABLES, [20],
                                        alpha=0.01, trials=1000, seed=3,

@@ -62,6 +62,20 @@ class TestWitnessExpectation:
             matrix_val = witness_expectation(p, tau, w1())
             assert abs(matrix_val - w1_expectation_closed_form(p, tau)) <= 1e-10
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("spec", [w0, w1], ids=["W0", "W1"])
+    def test_array_equals_scalar_loop(self, spec, gamma):
+        p = dataclasses.replace(P350, dephasing_gamma=gamma)
+        taus = np.linspace(0.0, 30.0, 601)
+        vals = witness_expectation(p, taus, spec())
+        assert isinstance(vals, np.ndarray) and vals.shape == taus.shape
+        loop = np.array([witness_expectation(p, t, spec()) for t in taus])
+        assert vals.tobytes() == loop.tobytes()
+        scalar = witness_expectation(p, 2.5, spec())
+        assert type(scalar) is float
+        grid = witness_expectation(p, taus[1:].reshape(3, 200), spec())
+        assert grid.shape == (3, 200) and grid.tobytes() == vals[1:].tobytes()
+
     def test_w0_reveals_after_8_seconds(self):
         taus = np.linspace(0.01, 12, 1200)
         vals = np.array([witness_expectation(P450_GRAV, t, w0()) for t in taus])
