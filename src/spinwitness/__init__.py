@@ -3,9 +3,9 @@ qubits: closed-form state evolution under gravity and Casimir-Polder coupling
 with dephasing, entanglement witnesses, likelihood-ratio hypothesis tests,
 maximum-likelihood tomography, and loophole-state searches."""
 
-from .model import (PhysicalConstants, ScenarioParams, branch_separations,
-                    characteristic_time, coupling_tensor, cp_coupling,
-                    frequency_readings, pea_corrections, phase_rates, spin_state)
+from .model import (ScenarioParams, branch_separations, characteristic_time,
+                    coupling_tensor, cp_coupling, frequency_readings,
+                    pea_corrections, phase_rates, spin_state)
 from .qstate import (MeasurementSetup, check_density_matrix, cholesky_to_state,
                      eigenbasis, expectation, fidelity, negativity,
                      partial_transpose, pauli_tensor)

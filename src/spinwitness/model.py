@@ -21,21 +21,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "PhysicalConstants",
-    "DEFAULT_CONSTANTS",
     "ScenarioParams",
-    "CouplingTensor",
     "PhaseRates",
     "PEAReport",
     "PAIRS",
-    "FASTEST_PAIR",
     "branch_separations",
     "coupling_tensor",
     "q_components",
@@ -48,26 +43,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants used by the model."""
+#: SI constants
+G = 6.674e-11      # m^3 kg^-1 s^-2
+HBAR = 1.0546e-34  # J s
+C = 2.998e8        # m s^-1
 
-    G: float = 6.674e-11      # m^3 kg^-1 s^-2
-    hbar: float = 1.0546e-34  # J s
-    c: float = 2.998e8        # m s^-1
-
-    def __post_init__(self):
-        if not (self.G > 0 and self.hbar > 0 and self.c > 0):
-            raise ValueError("physical constants must be strictly positive")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
-
-#: branch-pair labels in index order
-PAIRS = ("LL", "LR", "RL", "RR")
-
+#: branch-pair labels in index order, and their indices into a coupling table;
 #: the most rapidly oscillating coherence couples the LR and RL pairs
-FASTEST_PAIR = ("LR", "RL")
+PAIRS = ("LL", "LR", "RL", "RR")
+_LL, _LR, _RL = map(PAIRS.index, ("LL", "LR", "RL"))
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,6 @@ class ScenarioParams:
     permittivity_eps: float = 5.7       # dimensionless
     gravity_on: bool = True
     cp_scale: float = 1.0
-    constants: PhysicalConstants = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
         self.validate()
@@ -101,7 +84,7 @@ class ScenarioParams:
     def validate(self) -> None:
         if not isinstance(self.gravity_on, bool):
             raise ValueError(f"gravity_on must be a bool, got {self.gravity_on!r}")
-        for name in self._REAL_FIELDS:
+        for name in (f.name for f in fields(self) if f.name != "gravity_on"):
             # a bool is an int to Python, and NaN passes the range checks below
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -124,16 +107,11 @@ class ScenarioParams:
         if self.separation_d - 2 * self.half_split_delta <= 0:
             raise ValueError("branches touch: separation_d - 2*half_split_delta <= 0")
 
-    _JSON_FIELDS = ("mass", "separation_d", "half_split_delta", "trap_omega",
-                    "mean_occupation_nbar", "dephasing_gamma", "sphere_radius_R",
-                    "permittivity_eps", "gravity_on", "cp_scale")
-    _REAL_FIELDS = tuple(f for f in _JSON_FIELDS if f != "gravity_on")
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioParams":
         if not isinstance(data, dict):
             raise ValueError("config section scenario must be a JSON object")
-        unknown = set(data) - set(cls._JSON_FIELDS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**data)
@@ -143,7 +121,7 @@ class ScenarioParams:
         return cls.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._JSON_FIELDS}
+        return asdict(self)
 
     def with_hypothesis(self, gravity_on: bool, cp_scale: float | None = None) -> "ScenarioParams":
         """Copy with the interaction flags of a hypothesis."""
@@ -151,24 +129,6 @@ class ScenarioParams:
         if cp_scale is not None:
             kwargs["cp_scale"] = cp_scale
         return replace(self, **kwargs)
-
-    @cached_property
-    def _phase_rates(self) -> "PhaseRates":
-        """The rates of :func:`phase_rates`, computed on first use and kept
-        by this object. The memo is per object, not per value: scenarios
-        with ``cp_scale`` +0.0 and -0.0 compare equal but give differently
-        signed zero rates."""
-        c = self.constants
-        seps = branch_separations(self)
-        d = self.separation_d
-        grav = c.G * self.mass ** 2 if self.gravity_on else 0.0
-        alpha = cp_coupling(self)
-
-        def rate(pair):
-            dm = seps[pair]
-            return (grav * (1 / dm - 1 / d) + alpha * (1 / dm ** 7 - 1 / d ** 7)) / c.hbar
-
-        return PhaseRates(rate("LR"), rate("RL"))
 
 
 def branch_separations(p: ScenarioParams) -> dict:
@@ -178,29 +138,15 @@ def branch_separations(p: ScenarioParams) -> dict:
     return {"LL": d, "LR": d - 2 * delta, "RL": d + 2 * delta, "RR": d}
 
 
-@dataclass(frozen=True)
-class CouplingTensor:
+def coupling_tensor(p: ScenarioParams, n: int) -> np.ndarray:
     """Differences of inverse separations Q^(n)[ab, mn] = 1/d_ab^n - 1/d_mn^n,
-    indexed by PAIRS order; antisymmetric with zero diagonal."""
-
-    order: int
-    values: np.ndarray
-
-    def __getitem__(self, pairs) -> float:
-        ab, mn = pairs
-        return float(self.values[PAIRS.index(ab), PAIRS.index(mn)])
-
-    @property
-    def fastest(self) -> float:
-        return self[FASTEST_PAIR]
-
-
-def coupling_tensor(p: ScenarioParams, n: int) -> CouplingTensor:
+    a (4, 4) array indexed in PAIRS order; antisymmetric with zero diagonal.
+    Every pair quantity of the model reads its separations from this table."""
     if n < 1:
         raise ValueError("order must be >= 1")
     seps = branch_separations(p)
     inv = np.array([1.0 / seps[pair] ** n for pair in PAIRS])
-    return CouplingTensor(n, inv[:, None] - inv[None, :])
+    return inv[:, None] - inv[None, :]
 
 
 def q_components(p: ScenarioParams, n: int) -> np.ndarray:
@@ -209,8 +155,7 @@ def q_components(p: ScenarioParams, n: int) -> np.ndarray:
     Used to check that couplings with different power laws are not
     proportional, so no rescaling of one coupling can mimic another.
     """
-    q = coupling_tensor(p, n)
-    return np.array([q[("LR", "LL")], q[("LR", "RL")], q[("LL", "RL")]])
+    return coupling_tensor(p, n)[[_LR, _LR, _LL], [_LL, _RL, _RL]]
 
 
 def cp_coupling(p: ScenarioParams) -> float:
@@ -219,9 +164,8 @@ def cp_coupling(p: ScenarioParams) -> float:
     alpha = ((eps-1)/(eps+2))^2 * 23 hbar c R^6 / (4 pi); the potential between
     the spheres at separation r is -alpha / r^7.
     """
-    c = p.constants
     eps, R = p.permittivity_eps, p.sphere_radius_R
-    return ((eps - 1) / (eps + 2)) ** 2 * 23 * c.hbar * c.c * R ** 6 / (4 * np.pi) * p.cp_scale
+    return ((eps - 1) / (eps + 2)) ** 2 * 23 * HBAR * C * R ** 6 / (4 * np.pi) * p.cp_scale
 
 
 class PhaseRates(NamedTuple):
@@ -235,10 +179,14 @@ def phase_rates(p: ScenarioParams) -> PhaseRates:
     """omega_mn = [gravity_on * G m^2 (1/d_mn - 1/d) + alpha (1/d_mn^7 - 1/d^7)] / hbar.
 
     The closest pair (LR) gets the large positive rate; LL and RR pairs have
-    zero rate by construction (their separation is d). Computed once per
-    scenario object.
+    zero rate by construction (their separation is d). Computed from the
+    coupling table on every call, in Python floats.
     """
-    return p._phase_rates
+    grav = G * p.mass ** 2 if p.gravity_on else 0.0
+    alpha = cp_coupling(p)
+    q1, q7 = coupling_tensor(p, 1), coupling_tensor(p, 7)
+    return PhaseRates(*((grav * float(q1[i, _LL]) + alpha * float(q7[i, _LL])) / HBAR
+                        for i in (_LR, _RL)))
 
 
 #: number of qubits whose spin differs between basis states i and j
@@ -289,21 +237,21 @@ class PEAReport:
 def pea_corrections(p: ScenarioParams, tau: float) -> PEAReport:
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and >= 0")
-    c = p.constants
-    q2 = abs(coupling_tensor(p, 2).fastest)
-    q4 = abs(coupling_tensor(p, 4).fastest)
+    # Python floats: a float power raises OverflowError where numpy would warn
+    q2 = abs(float(coupling_tensor(p, 2)[_LR, _RL]))
+    q4 = abs(float(coupling_tensor(p, 4)[_LR, _RL]))
     m, omega = p.mass, p.trap_omega
     try:
-        phase_corr = c.G ** 2 * m ** 3 * tau ** 3 * q4 / (6 * c.hbar)
+        phase_corr = G ** 2 * m ** 3 * tau ** 3 * q4 / (6 * HBAR)
         # |theta|^2 = (G m Q2 tau)^2/2 * [(tau^2/4)(m w/hbar) + m/(hbar w)]
-        theta_sq = (c.G * m * q2 * tau) ** 2 / 2 * (
-            (tau ** 2 / 4) * (m * omega / c.hbar) + m / (c.hbar * omega))
+        theta_sq = (G * m * q2 * tau) ** 2 / 2 * (
+            (tau ** 2 / 4) * (m * omega / HBAR) + m / (HBAR * omega))
     except OverflowError:  # a float power raises; a product turns inf
         phase_corr = theta_sq = math.inf
     if not (math.isfinite(phase_corr) and math.isfinite(theta_sq)):
         raise OverflowError(f"fall time tau = {tau:g} s overflows the "
                             "point-particle corrections")
-    kappa = p.half_split_delta * np.sqrt(m * omega / (2 * c.hbar))
+    kappa = p.half_split_delta * np.sqrt(m * omega / (2 * HBAR))
     return PEAReport(
         theta_magnitude=float(np.sqrt(theta_sq)),
         phase_correction=float(phase_corr),
@@ -321,11 +269,10 @@ class FrequencyReadings(NamedTuple):
 
 
 def frequency_readings(p: ScenarioParams) -> FrequencyReadings:
-    c = p.constants
-    q1 = abs(coupling_tensor(p, 1).fastest)
-    q7 = abs(coupling_tensor(p, 7).fastest)
-    grav = c.G * p.mass ** 2 * q1 / c.hbar if p.gravity_on else 0.0
-    return FrequencyReadings(grav, cp_coupling(p) * q7 / c.hbar)
+    q1 = abs(float(coupling_tensor(p, 1)[_LR, _RL]))
+    q7 = abs(float(coupling_tensor(p, 7)[_LR, _RL]))
+    grav = G * p.mass ** 2 * q1 / HBAR if p.gravity_on else 0.0
+    return FrequencyReadings(grav, cp_coupling(p) * q7 / HBAR)
 
 
 def characteristic_time(p: ScenarioParams) -> float:
