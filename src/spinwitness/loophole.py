@@ -4,7 +4,6 @@ of the two-qubit state space."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ from scipy.optimize import minimize
 
 from .qstate import (MeasurementSetup, check_density_matrix, cholesky_to_state,
                      negativity, state_to_cholesky_angles)
-from .stats import DataVector, trial_rng
+from .stats import DataVector, _is_count, trial_rng
 from .tomography import MLEConfig, mle_reconstruct
 from .witnesses import W1_OBSERVABLES
 
@@ -49,8 +48,7 @@ class OptimizationConfig:
     restarts: int = 32
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) and n >= 1
-                   for n in (self.max_iterations, self.restarts)):
+        if not (_is_count(self.max_iterations) and _is_count(self.restarts)):
             raise ValueError("max_iterations and restarts must be integers >= 1")
         # the state is 2 pi-periodic in each angle: at a step of pi every
         # central difference is zero, and past it a difference can flip sign

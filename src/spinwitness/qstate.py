@@ -74,7 +74,6 @@ class MeasurementBasis:
     ``eigenvalues[j]`` is the corresponding product of signs.
     """
 
-    observable: PauliObservable
     projectors: np.ndarray
     eigenvalues: np.ndarray
 
@@ -98,7 +97,7 @@ def eigenbasis(obs: PauliObservable) -> MeasurementBasis:
             projs[k] = np.outer(v, v.conj())
             vals[k] = si * sj
             k += 1
-    return MeasurementBasis(obs, projs, vals)
+    return MeasurementBasis(projs, vals)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,11 @@ def trial_rng(seed: int, tags, trial: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
+def _is_count(n) -> bool:
+    """An integer >= 1; a bool is an int to Python, and is rejected."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("significance level must lie in (0, 1)")
@@ -110,6 +115,9 @@ class ProbabilityVector:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[1] != 4 or probs.shape[0] != len(self.observables):
             raise ValueError("probs must have shape (n_observables, 4)")
+        if not np.isfinite(probs).all():  # NaN passes both range checks below
+            raise ValueError(f"probabilities must be finite, got "
+                             f"{float(probs[~np.isfinite(probs)][0])}")
         if probs.min() < -1e-12:
             raise ValueError(f"negative probability {probs.min():.3e}")
         if np.abs(probs.sum(axis=1) - 1).max() > 1e-10:
@@ -130,7 +138,12 @@ class DataVector:
     shots_per_observable: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu" or not _is_count(self.shots_per_observable):
+            raise ValueError(f"counts must be an integer array and shots_per_observable an "
+                             f"integer >= 1, got {counts.dtype} counts and "
+                             f"{self.shots_per_observable!r} shots")
+        counts = counts.astype(np.int64)
         if counts.ndim != 2 or counts.shape[1] != 4:
             raise ValueError("counts must have shape (n_observables, 4)")
         if counts.min() < 0:
@@ -161,7 +174,7 @@ def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) ->
     N and ``trials`` are checked. One 2-D ``multinomial`` call per trial
     draws the same counts but is slower (numpy 2.4.6, 2-core Xeon: 19 us for
     3 rows against 3 us per 1-D call)."""
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (N, trials)):
+    if not (_is_count(N) and _is_count(trials)):
         raise ValueError(f"shot count N and trials must be integers >= 1, "
                          f"got N={N!r}, trials={trials!r}")
     probs = pv.probs / pv.probs.sum(axis=1, keepdims=True)
@@ -333,8 +346,8 @@ def match_alpha(p: ScenarioParams, tau: float, bracket=(0.0, 4.0)) -> float:
     Solved by bracketed root finding to better than 1e-6 relative; raises with
     a bracket report when no sign change is found.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     target = w1_expectation_closed_form(p.with_hypothesis(True), tau)
 
     def gap(s: float) -> float:

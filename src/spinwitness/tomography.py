@@ -3,14 +3,13 @@ counts, one data set or a stack of them, and tomography-based distinction
 statistics."""
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ScenarioParams, spin_state
 from .qstate import MeasurementSetup, fidelity, negativity
-from .stats import (DataVector, SuccessRateReport, _draw_counts,
+from .stats import (DataVector, SuccessRateReport, _draw_counts, _is_count,
                     distinction_success_rate, outcome_probabilities)
 from .witnesses import optimal_fall_time
 
@@ -39,7 +38,7 @@ class MLEConfig:
     iterations: int = 100
 
     def __post_init__(self):
-        if not (isinstance(self.iterations, numbers.Integral) and self.iterations >= 1):
+        if not _is_count(self.iterations):
             raise ValueError("iterations must be an integer >= 1")
 
 

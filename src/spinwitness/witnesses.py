@@ -2,6 +2,7 @@
 optimal free-fall time."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,6 @@ class WitnessSpec:
         for coeff, obs in self.terms:
             out += coeff * pauli_tensor(obs)
         return out
-
-    @property
-    def observables(self):
-        """Non-identity Pauli pairs in the combination."""
-        return tuple(obs for _, obs in self.terms if obs != ("I", "I"))
 
 
 def w0() -> WitnessSpec:
@@ -134,8 +130,8 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
         if total <= 0:
             raise ValueError("cannot choose a default window: zero phase rate")
         tau_max = 4 * np.pi / total
-    if tau_max <= 0:
-        raise ValueError("tau_max must be positive")
+    if not 0 < tau_max < math.inf:
+        raise ValueError(f"tau_max must be finite and positive, got {tau_max!r}")
 
     def f(t):
         return float(w1_expectation_closed_form(alt, float(t)))

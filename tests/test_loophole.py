@@ -155,7 +155,8 @@ class TestFindLoopholeState:
         for bad in ({"restarts": 0}, {"gradient_step": 0.0}, {"restarts": 1.5},
                     {"max_iterations": 10.0}, {"gradient_step": math.nan},
                     {"gradient_step": math.inf}, {"constraint_margin": math.nan},
-                    {"constraint_margin": math.inf}):
+                    {"constraint_margin": math.inf}, {"restarts": True},
+                    {"max_iterations": True}):
             with pytest.raises(ValueError):
                 OptimizationConfig(**bad)
 

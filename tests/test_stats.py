@@ -59,6 +59,12 @@ class TestProbabilityVector:
             rows = [MeasurementSetup((o,)).probabilities(rho) for o in obs]
             assert np.array_equal(outcome_probabilities(rho, obs).probs, rows)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # NaN fails both the sign and the normalisation comparison
+        with pytest.raises(ValueError, match=f"probabilities must be finite, got {bad}"):
+            ProbabilityVector((("X", "X"),), [[bad, 0.5, 0.25, 0.25]])
+
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError):
             pv_from_rows(ZZ, [[0.5, 0.2, 0.2, 0.2]])
@@ -139,6 +145,12 @@ class TestSimulateMeasurements:
             DataVector(np.array([[1, 2, 3, 5]]), 10)
         with pytest.raises(ValueError):
             DataVector(np.array([[-1, 2, 3, 6]]), 10)
+        # fractional or boolean counts used to be truncated or taken as ints
+        for counts, shots in (([[2.5, 2.5, 0, 0]], 5), ([[2.0, 2.0, 0, 0]], 4),
+                              ([[True, False, False, False]], 1),
+                              ([[1, 0, 0, 0]], True)):
+            with pytest.raises(ValueError, match="must be an integer array"):
+                DataVector(counts, shots)
 
 
 class TestMonteCarloSizes:
@@ -157,9 +169,11 @@ class TestMonteCarloSizes:
         lambda: witness_negative_probability(P450, [2.5], 50, 0),
         lambda: distinction_success_rate(P350, W1_OBSERVABLES, [3.9], 0.01, 100, 0,
                                          lambda_trials=100),
+        lambda: witness_negative_probability(P450, [True], 10, 0),
+        lambda: witness_negative_probability(P450, [10], True, 0),
     ], ids=["witneg-N0", "witneg-trials0", "curve-N0", "simulate-N0",
             "simulate-N2.5", "exceedance-trials0", "batch-trials0", "witneg-N2.5",
-            "curve-N3.9"])
+            "curve-N3.9", "witneg-Ntrue", "witneg-trialstrue"])
     def test_non_positive_or_fractional_size_raises(self, call):
         with pytest.raises(ValueError, match="N and trials must be integers >= 1"):
             call()
@@ -463,6 +477,12 @@ class TestMatchAlpha:
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             match_alpha(P350, 0.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # used to reach the bracket scan and report a gap range of NaNs
+        with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
+            match_alpha(P350, tau)
 
 
 class TestDifferential:

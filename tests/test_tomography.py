@@ -163,7 +163,7 @@ class TestMLE:
             mle_reconstruct(np.ones((3, 12)), SETUP)
 
     def test_iterations_validated(self):
-        for bad in (0, 1.5, 10.0, float("nan")):
+        for bad in (0, 1.5, 10.0, float("nan"), True):
             with pytest.raises(ValueError):
                 MLEConfig(bad)
 

@@ -38,7 +38,8 @@ class TestWitnessSpecs:
         assert np.abs(w1().matrix() - expected).max() < 1e-12
 
     def test_w1_observables(self):
-        assert w1().observables == W1_OBSERVABLES
+        assert tuple(obs for _, obs in w1().terms[1:]) == W1_OBSERVABLES
+        assert w1().terms[0] == (1.0, ("I", "I"))
 
     def test_nonnegative_on_separable_states(self, rng):
         w0m, w1m = w0().matrix(), w1().matrix()
@@ -160,6 +161,13 @@ class TestOptimalFallTime:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             optimal_fall_time(P350, tau_max=-1.0)
+
+    @pytest.mark.parametrize("tau_max", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, tau_max):
+        # used to return tau = expectation = nan with only RuntimeWarnings
+        with pytest.raises(ValueError,
+                           match=f"tau_max must be finite and positive, got {tau_max}"):
+            optimal_fall_time(P350, tau_max=tau_max)
 
 
 def oracle_optimal_fall_time(p, tau_max=None):
