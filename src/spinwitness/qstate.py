@@ -106,27 +106,44 @@ class MeasurementSetup:
     (4 * n_observables, 4, 4) with row p = 4 * i + j outcome j of observable
     i, and the real design matrix D, shape (32, 4 * n_observables), with
     Tr(rho P_p) = [Re rho, Im rho] . D[:, p]. Probabilities and operators are
-    one einsum over D each, so a row of a stack gets the bits of one call."""
+    BLAS products with C-contiguous copies of D: (32, 4) blocks, one per
+    observable, and D^T. A row of a stack gets the bits of one call."""
 
     observables: tuple
     projectors: np.ndarray = field(init=False, repr=False, compare=False)
     design: np.ndarray = field(init=False, repr=False, compare=False)
+    _blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.observables)
         projs = np.concatenate([eigenbasis(o).projectors for o in obs])
+        rows = _real_coordinates(projs)
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "design", _real_coordinates(projs).T.copy())
+        object.__setattr__(self, "design", rows.T.copy())
+        object.__setattr__(self, "_blocks", np.ascontiguousarray(
+            rows.reshape(len(obs), 4, 32).swapaxes(1, 2)))
+        object.__setattr__(self, "_rows", rows)
 
     def probabilities(self, rho) -> np.ndarray:
         """Tr(rho P_p) of one state or a stack of shape (..., 4, 4), by p."""
-        return np.einsum("...k,kp->...p", _real_coordinates(rho), self.design)
+        x = _real_coordinates(rho)
+        y = _matmul_rows(x.reshape(-1, 32), self._blocks)
+        return y.swapaxes(0, 1).reshape(x.shape[:-1] + (-1,))
 
     def operator(self, weights) -> np.ndarray:
         """sum_p w_p P_p, a 4x4 matrix per row of real weights w."""
-        y = np.einsum("...p,kp->...k", weights, self.design)
-        return (y[..., :16] + 1j * y[..., 16:]).reshape(y.shape[:-1] + (4, 4))
+        w = np.asarray(weights)
+        y = _matmul_rows(w.reshape(-1, w.shape[-1]), self._rows)
+        return (y[:, :16] + 1j * y[:, 16:]).reshape(w.shape[:-1] + (4, 4))
+
+
+def _matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat for a (stack, k) array. A lone row is doubled: numpy sends
+    a one-row product to gemv, which rounds differently from gemm."""
+    n = len(rows)
+    return np.matmul(np.concatenate((rows, rows)) if n == 1 else rows, mat)[..., :n, :]
 
 
 def _real_coordinates(rho) -> np.ndarray:

@@ -46,7 +46,7 @@ GOLDEN = {
     },
     "loophole": {
         "loophole.json":
-            "591ea48bf742d7a1e3e2c6d05d57e575313ed1de6da2daa6ddeb1c777a3b92c3",
+            "6b4f0aa7e478057c57f4b3a6cd73f74395bd961a9167dfe1a8d3309e60d05907",
     },
     "pea": {
         "pea.csv":
@@ -78,9 +78,9 @@ GOLDEN = {
     },
     "tomo": {
         "tomo_batch_alt.csv":
-            "95bf987af7cdbade3841516fbe585fe42c62f24a24a7522d7405dc0171d353d9",
+            "c270954cab5b791336e4e2634dda200502517867584363ca9c71c4522d749a3c",
         "tomo_batch_null.csv":
-            "fa97520d79da437566b9efc0e8645018ddfc36e200c6bd176f8eb809bb03c66e",
+            "f21c1027e8857a09f957dfc02e5cc81582749bdefef345e14478af0f23cb608a",
         "tomo_exceedance.csv":
             "d4895b7d4690b2c38604232981d5f299199f652a836e93b524276366e9598f97",
     },

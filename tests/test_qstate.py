@@ -10,6 +10,7 @@ from spinwitness.qstate import (PAULI, MeasurementSetup,
                                 expectation, fidelity, negativity,
                                 partial_transpose, pauli_tensor, purity,
                                 state_to_cholesky_angles)
+from spinwitness.stats import W1_OBSERVABLES
 from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES as TOMO
 from conftest import (oracle_kron, oracle_negativity, oracle_partial_transpose,
                       random_pure_product, random_separable_state, random_state)
@@ -265,6 +266,24 @@ class TestMeasurementSetup:
             assert np.array_equal(ops[idx], setup.operator(weights[idx]))
             direct = sum(w * P for w, P in zip(weights[idx], setup.projectors))
             assert np.abs(ops[idx] - direct).max() <= 1e-15
+
+    @pytest.mark.parametrize("obs", [
+        TOMO, W1_OBSERVABLES,
+        (("X", "Z"), ("Y", "Y"), ("Z", "X"), ("X", "X"), ("Z", "Y"))])
+    def test_every_stack_size_and_offset_keeps_the_bits_of_one_large_call(
+            self, rng, obs):
+        # BLAS kernels treat the leading, trailing and remainder rows of a
+        # product differently, and a lone row goes to gemv: every row must
+        # still get the bits it has in one large call
+        setup = MeasurementSetup(obs)
+        states = cholesky_to_state(rng.uniform(0.0, np.pi, (503, 15)))
+        weights = rng.dirichlet(np.ones(4 * len(obs)), size=503)
+        probs, ops = setup.probabilities(states), setup.operator(weights)
+        for size in [*range(1, 71), 127, 128, 129, 255, 256, 257, 500]:
+            for offset in (0, 1, 3):
+                rows = slice(offset, offset + size)
+                assert np.array_equal(setup.probabilities(states[rows]), probs[rows])
+                assert np.array_equal(setup.operator(weights[rows]), ops[rows])
 
 
 def test_eigh_residual_contract(rng):
