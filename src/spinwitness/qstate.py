@@ -178,14 +178,21 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Matrix square root via eigendecomposition, clamping eigenvalues in
-    [-1e-9, 0) to zero; one matrix or a stack of shape (..., 4, 4)."""
-    w, v = np.linalg.eigh(rho)
+def _sqrt_eigenvalues(w: np.ndarray, what: str) -> np.ndarray:
+    """Square roots of the eigenvalues w of PSD matrices, with every one below
+    8 eps times its matrix's largest set to zero first: the root of a
+    rounding-floor eigenvalue (~1e-16) would be ~1e-8. Raises below -1e-9."""
     if w.min() < -1e-9:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        raise ValueError(f"{what} not PSD: min eigenvalue {w.min():.3e}")
+    floor = 8 * np.finfo(float).eps * w.max(axis=-1, keepdims=True)
+    return np.sqrt(np.where(w < floor, 0.0, w))
+
+
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    """Matrix square root via eigendecomposition, of one matrix or a stack of
+    shape (..., 4, 4)."""
+    w, v = np.linalg.eigh(rho)
+    return (v * _sqrt_eigenvalues(w, "matrix is")[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray):
@@ -195,10 +202,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
     sq = _psd_sqrt(rho)
     mid = sq @ sigma @ sq
     mid = 0.5 * (mid + mid.conj().swapaxes(-1, -2))
-    w = np.linalg.eigvalsh(mid)
-    if w.min() < -1e-9:
-        raise ValueError(f"inner matrix not PSD: min eigenvalue {w.min():.3e}")
-    fid = np.minimum(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 1.0)
+    w = _sqrt_eigenvalues(np.linalg.eigvalsh(mid), "inner matrix")
+    fid = np.minimum(w.sum(axis=-1) ** 2, 1.0)
     return float(fid) if fid.ndim == 0 else fid
 
 

@@ -78,9 +78,9 @@ GOLDEN = {
     },
     "tomo": {
         "tomo_batch_alt.csv":
-            "c270954cab5b791336e4e2634dda200502517867584363ca9c71c4522d749a3c",
+            "e46a97cd1d3358f79dfcd583adbd234308a87af2337af597ba459ef437f94a94",
         "tomo_batch_null.csv":
-            "f21c1027e8857a09f957dfc02e5cc81582749bdefef345e14478af0f23cb608a",
+            "fc5b8d4f9c1f7a092494a081ed51f46285a3c1c403774b29ec162d96e984156e",
         "tomo_exceedance.csv":
             "d4895b7d4690b2c38604232981d5f299199f652a836e93b524276366e9598f97",
     },

@@ -230,6 +230,18 @@ class TestFidelity:
         with pytest.raises(ValueError, match="not PSD"):
             fidelity(stack, np.eye(4) / 4)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rounding_floor_eigenvalues_do_not_amplify(self, rng, rank):
+        # the zero eigenvalues of a rank-deficient state come out of eigh at
+        # ~1e-17; without the floor their square roots (~3e-9) moved the
+        # fidelity by ~1e-8 under a 1e-16 change of the state
+        rho = np.array([random_state(rng, rank) for _ in range(100)])
+        h = rng.standard_normal((100, 4, 4)) + 1j * rng.standard_normal((100, 4, 4))
+        h += h.conj().swapaxes(-1, -2)
+        h *= 1e-16 / np.abs(h).max(axis=(-1, -2), keepdims=True)
+        for sigma in (random_state(rng), np.eye(4) / 4):
+            assert np.abs(fidelity(rho + h, sigma) - fidelity(rho, sigma)).max() < 1e-12
+
 
 class TestMeasurementSetup:
     def test_stacks_eigenprojectors_in_observable_order(self):
