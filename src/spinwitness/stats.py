@@ -94,9 +94,9 @@ def trial_rng(seed: int, tags, trial: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def _is_count(n) -> bool:
-    """An integer >= 1; a bool is an int to Python, and is rejected."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+def _is_count(n, least: int = 1) -> bool:
+    """An integer >= least; a bool is an int to Python, and is rejected."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
 def _check_alpha(alpha: float) -> None:
@@ -177,6 +177,8 @@ def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) ->
     if not (_is_count(N) and _is_count(trials)):
         raise ValueError(f"shot count N and trials must be integers >= 1, "
                          f"got N={N!r}, trials={trials!r}")
+    if not _is_count(seed, 0):  # trial_rng's int(seed) would alias 2.5 to 2
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     probs = pv.probs / pv.probs.sum(axis=1, keepdims=True)
     out = np.empty((trials, len(pv.observables), 4), dtype=np.int64)
     for t in range(trials):
@@ -239,6 +241,8 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
     _check_alpha(alpha)
     if trials < 100:
         raise ValueError("lambda_min needs trials >= 100")
+    if not _is_count(seed, 0):  # True == 1 would find seed 1's cached threshold
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     key = (p_0.probs.tobytes(), p_a.probs.tobytes(), N, alpha, trials, seed)
     if key in _lambda_min_cache:
         return _lambda_min_cache[key]

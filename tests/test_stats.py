@@ -135,6 +135,17 @@ class TestSimulateMeasurements:
         assert np.array_equal(a.counts, b.counts)
         assert not np.array_equal(a.counts, c.counts)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_fractional_bool_or_negative_seed_raises(self, seed):
+        # int(seed) used to draw the counts of seed 2 for 2.5, of seed 1 for True
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 10, seed=seed)
+
+    def test_numpy_integer_seed_draws_its_stream(self):
+        a = simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 10, seed=np.int64(2))
+        b = simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 10, seed=2)
+        assert np.array_equal(a.counts, b.counts)
+
     def test_law_of_large_numbers(self):
         data = simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 100000, seed=3)
         freqs = data.counts / 100000
@@ -396,6 +407,16 @@ class TestLambdaMinCache:
         monkeypatch.setattr(stats, "_lambda_min_cache", {})
         first = lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=4)
         assert lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=4) is first
+
+    def test_bad_seed_raises_before_the_cache_lookup(self, monkeypatch):
+        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+        one = lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=1)
+        # True == 1 and hash(True) == hash(1): the lookup alone would answer
+        for bad in (True, 1.0, 2.5):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=bad)
+        assert lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200,
+                          seed=np.int64(1)) is one
 
     def test_control_run_reuses_thresholds(self, monkeypatch):
         monkeypatch.setattr(stats, "_lambda_min_cache", {})
