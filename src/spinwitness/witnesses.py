@@ -67,10 +67,13 @@ def w1_expectation_closed_form(p: ScenarioParams, tau) -> np.ndarray | float:
 
     Accepts a scalar or an array of times.
     """
-    rates = phase_rates(p)
+    return _w1_closed_form(phase_rates(p), p.dephasing_gamma, tau)
+
+
+def _w1_closed_form(rates, gamma: float, tau) -> np.ndarray | float:
     t = np.asarray(tau, dtype=float)
     p1, p2 = rates.omega_lr * t, rates.omega_rl * t
-    e1 = np.exp(-p.dephasing_gamma * t)
+    e1 = np.exp(-gamma * t)
     val = 1.0 - e1 * (np.sin(p1) + np.sin(p2)) - 0.5 * e1 ** 2 * (1 + np.cos(p1 - p2))
     return float(val) if np.isscalar(tau) else val
 
@@ -124,8 +127,8 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
     tau_max = 4 pi / (omega_LR + omega_RL).
     """
     alt = p.with_hypothesis(gravity_on=True)
+    rates = phase_rates(alt)
     if tau_max is None:
-        rates = phase_rates(alt)
         total = rates.omega_lr + rates.omega_rl
         if total <= 0:
             raise ValueError("cannot choose a default window: zero phase rate")
@@ -134,10 +137,10 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
         raise ValueError(f"tau_max must be finite and positive, got {tau_max!r}")
 
     def f(t):
-        return float(w1_expectation_closed_form(alt, float(t)))
+        return float(_w1_closed_form(rates, alt.dephasing_gamma, float(t)))
 
     grid = np.linspace(0.0, tau_max, 2000)
-    vals = w1_expectation_closed_form(alt, grid)
+    vals = _w1_closed_form(rates, alt.dephasing_gamma, grid)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

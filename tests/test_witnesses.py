@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from spinwitness import witnesses
 from spinwitness.model import ScenarioParams, phase_rates, spin_state
 from spinwitness.qstate import negativity, partial_transpose
 from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime, WitnessScan,
@@ -220,6 +221,17 @@ class TestOptimalFallTimeOracle:
         for _ in range(100):
             p = random_scenario(rng)
             assert optimal_fall_time(p) == oracle_optimal_fall_time(p)
+
+    @pytest.mark.parametrize("p, tau_max", [(P350, None), (ScenarioParams(), None),
+                                            (P350, 0.5)])
+    def test_computes_the_phase_rates_once(self, monkeypatch, p, tau_max):
+        # the grid and every golden-section step used to recompute them
+        expected = oracle_optimal_fall_time(p, tau_max)
+        calls = []
+        monkeypatch.setattr(witnesses, "phase_rates",
+                            lambda q: calls.append(q) or phase_rates(q))
+        assert optimal_fall_time(p, tau_max) == expected
+        assert calls == [p.with_hypothesis(gravity_on=True)]
 
 
 class TestScan:
