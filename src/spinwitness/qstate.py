@@ -102,16 +102,15 @@ def eigenbasis(obs: PauliObservable) -> MeasurementBasis:
 
 @dataclass(frozen=True)
 class MeasurementSetup:
-    """Pauli observables, their stacked eigenprojectors P_p, shape
-    (4 * n_observables, 4, 4) with row p = 4 * i + j outcome j of observable
-    i, and the real design matrix D, shape (32, 4 * n_observables), with
-    Tr(rho P_p) = [Re rho, Im rho] . D[:, p]. Probabilities and operators are
-    BLAS products with C-contiguous copies of D: (32, 4) blocks, one per
-    observable, and D^T. A row of a stack gets the bits of one call."""
+    """Pauli observables and their stacked eigenprojectors P_p, shape
+    (4 * n_observables, 4, 4), row p = 4 * i + j being outcome j of
+    observable i. Tr(rho P_p) = [Re rho, Im rho] . [Re P_p, Im P_p]: the
+    probabilities and operators are BLAS products with C-contiguous copies of
+    these real rows, one (32, 4) block per observable and one
+    (4 * n_observables, 32) array. A row of a stack gets the bits of one call."""
 
     observables: tuple
     projectors: np.ndarray = field(init=False, repr=False, compare=False)
-    design: np.ndarray = field(init=False, repr=False, compare=False)
     _blocks: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -121,7 +120,6 @@ class MeasurementSetup:
         rows = _real_coordinates(projs)
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "design", rows.T.copy())
         object.__setattr__(self, "_blocks", np.ascontiguousarray(
             rows.reshape(len(obs), 4, 32).swapaxes(1, 2)))
         object.__setattr__(self, "_rows", rows)
@@ -140,10 +138,8 @@ class MeasurementSetup:
 
 
 def _matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat for a (stack, k) array. A lone row is doubled: numpy sends
-    a one-row product to gemv, which rounds differently from gemm."""
-    n = len(rows)
-    return np.matmul(np.concatenate((rows, rows)) if n == 1 else rows, mat)[..., :n, :]
+    """rows @ mat for a (stack, k) array; a lone row goes in twice, not to gemv."""
+    return np.matmul(rows if len(rows) > 1 else rows.repeat(2, 0), mat)[..., :len(rows), :]
 
 
 def _real_coordinates(rho) -> np.ndarray:
@@ -179,27 +175,19 @@ def purity(rho: np.ndarray) -> float:
 
 
 def _sqrt_eigenvalues(w: np.ndarray, what: str) -> np.ndarray:
-    """Square roots of the eigenvalues w of PSD matrices, with every one below
-    8 eps times its matrix's largest set to zero first: the root of a
-    rounding-floor eigenvalue (~1e-16) would be ~1e-8. Raises below -1e-9."""
+    """Square roots of PSD eigenvalues, each below 8 eps times its matrix's
+    largest set to 0 first (the root of ~1e-16 is ~1e-8). Raises below -1e-9."""
     if w.min() < -1e-9:
         raise ValueError(f"{what} not PSD: min eigenvalue {w.min():.3e}")
-    floor = 8 * np.finfo(float).eps * w.max(axis=-1, keepdims=True)
-    return np.sqrt(np.where(w < floor, 0.0, w))
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Matrix square root via eigendecomposition, of one matrix or a stack of
-    shape (..., 4, 4)."""
-    w, v = np.linalg.eigh(rho)
-    return (v * _sqrt_eigenvalues(w, "matrix is")[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.sqrt(np.where(w < 8 * np.finfo(float).eps * w.max(-1, keepdims=True), 0.0, w))
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]: a
     float for two states, an array for stacks of shape (..., 4, 4), which
     broadcast against each other."""
-    sq = _psd_sqrt(rho)
+    w, v = np.linalg.eigh(rho)
+    sq = (v * _sqrt_eigenvalues(w, "matrix is")[..., None, :]) @ v.conj().swapaxes(-1, -2)
     mid = sq @ sigma @ sq
     mid = 0.5 * (mid + mid.conj().swapaxes(-1, -2))
     w = _sqrt_eigenvalues(np.linalg.eigvalsh(mid), "inner matrix")
