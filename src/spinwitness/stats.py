@@ -171,12 +171,12 @@ def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
 def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) -> np.ndarray:
     """(trials, n_obs, 4) multinomial counts of N shots per observable, one
     substream per trial; every Monte Carlo path draws here, so this is where
-    N and ``trials`` are checked. One 2-D ``multinomial`` call per trial
+    N, ``trials`` and the seed are checked. One 2-D ``multinomial`` call per trial
     draws the same counts but is slower (numpy 2.4.6, 2-core Xeon: 19 us for
     3 rows against 3 us per 1-D call)."""
     if not (_is_count(N) and _is_count(trials) and _is_count(seed, 0)):
-        raise ValueError(f"shot count N and trials must be integers >= 1, and the seed "
-                         f"one >= 0, got N={N!r}, trials={trials!r}, seed={seed!r}")
+        raise ValueError(f"shot count N and trials must be integers >= 1 and the seed "
+                         f"an integer >= 0, got N={N!r}, trials={trials!r}, seed={seed!r}")
     probs = pv.probs / pv.probs.sum(axis=1, keepdims=True)
     out = np.empty((trials, len(pv.observables), 4), dtype=np.int64)
     for t in range(trials):

@@ -138,7 +138,7 @@ class TestSimulateMeasurements:
     @pytest.mark.parametrize("seed", [2.5, True, -1])
     def test_fractional_bool_or_negative_seed_raises(self, seed):
         # int(seed) used to draw the counts of seed 2 for 2.5, of seed 1 for True
-        with pytest.raises(ValueError, match="the seed one >= 0"):
+        with pytest.raises(ValueError, match="the seed an integer >= 0"):
             simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 10, seed=seed)
 
     def test_numpy_integer_seed_draws_its_stream(self):
