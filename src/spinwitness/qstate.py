@@ -128,7 +128,7 @@ class MeasurementSetup:
         """Tr(rho P_p) of one state or a stack of shape (..., 4, 4), by p."""
         x = _real_coordinates(rho)
         y = _matmul_rows(x.reshape(-1, 32), self._blocks)
-        return y.swapaxes(0, 1).reshape(x.shape[:-1] + (-1,))
+        return y.swapaxes(0, 1).reshape(x.shape[:-1] + (len(self._rows),))
 
     def operator(self, weights) -> np.ndarray:
         """sum_p w_p P_p, a 4x4 matrix per row of real weights w."""

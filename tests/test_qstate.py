@@ -291,6 +291,8 @@ class TestMeasurementSetup:
         states = cholesky_to_state(rng.uniform(0.0, np.pi, (503, 15)))
         weights = rng.dirichlet(np.ones(4 * len(obs)), size=503)
         probs, ops = setup.probabilities(states), setup.operator(weights)
+        assert setup.probabilities(states[:0]).shape == (0, 4 * len(obs))
+        assert setup.operator(weights[:0]).shape == (0, 4, 4)
         for size in [*range(1, 71), 127, 128, 129, 255, 256, 257, 500]:
             for offset in (0, 1, 3):
                 rows = slice(offset, offset + size)
