@@ -14,8 +14,7 @@ from .stats import (DataVector, DifferentialReport, ProbabilityVector,
                     distinction_success_rate, lambda_min, log_likelihood_ratio,
                     match_alpha, outcome_probabilities, simulate_measurements,
                     witness_negative_probability)
-from .tomography import (MLEConfig, mle_reconstruct, negativity_exceedance,
-                         r_operator, tomographic_success_rate)
+from .tomography import mle_reconstruct, negativity_exceedance
 from .loophole import (KNOWN_LOOPHOLE_STATE, LoopholeResult,
                        OptimizationConfig, find_loophole_state,
                        state_neg_log_likelihood, verify_loophole)

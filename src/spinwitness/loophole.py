@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 from .qstate import (MeasurementSetup, check_density_matrix, cholesky_to_state,
                      negativity, state_to_cholesky_angles)
 from .stats import DataVector, _is_count, trial_rng
-from .tomography import MLEConfig, mle_reconstruct
+from .tomography import _count_rows, mle_reconstruct
 from .witnesses import W1_OBSERVABLES
 
 __all__ = [
@@ -89,8 +89,11 @@ def _nll(rho: np.ndarray, counts: np.ndarray, setup: MeasurementSetup):
 def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
     """-sum n_i log Tr(rho P_i); +inf when a counted outcome has zero
     probability (an infinitely bad fit the optimizer can move away from).
-    A float for one state, an array for a stack of shape (..., 4, 4)."""
-    return _nll(rho, n.flat.astype(float), MeasurementSetup(observables))
+    A float for one state, an array for a stack of shape (..., 4, 4).
+    Counts of another width than the observables' outcomes raise ValueError."""
+    setup = MeasurementSetup(observables)
+    counts, _ = _count_rows(n.flat[None], setup)
+    return _nll(rho, counts[0], setup)
 
 
 class _Search:
@@ -163,12 +166,13 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
     in likelihood break toward lower negativity. A restart whose SLSQP run
     raises is recorded in ``restart_errors``.
     """
+    if not _is_count(seed, 0):  # trial_rng would run int(seed)'s starts
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     setup = MeasurementSetup(observables)
     neg_cap = negativity(rho_null) - cfg.constraint_margin
     search = _Search(n.flat.astype(float), setup, neg_cap, cfg.gradient_step)
 
-    mle_state = mle_reconstruct(n, setup, MLEConfig(100))
-    starts = [state_to_cholesky_angles(mle_state)]
+    starts = [state_to_cholesky_angles(mle_reconstruct(n.flat[None], setup)[0])]
     for r in range(cfg.restarts - 1):
         rng = trial_rng(seed, (_TAG_RESTART,), r)
         starts.append(rng.uniform(0.0, np.pi, 15))

@@ -18,10 +18,9 @@ smaller and matches nothing).
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "PAIRS",
     "branch_separations",
     "coupling_tensor",
-    "q_components",
     "cp_coupling",
     "phase_rates",
     "spin_state",
@@ -79,9 +77,6 @@ class ScenarioParams:
     cp_scale: float = 1.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if not isinstance(self.gravity_on, bool):
             raise ValueError(f"gravity_on must be a bool, got {self.gravity_on!r}")
         for name in (f.name for f in fields(self) if f.name != "gravity_on"):
@@ -116,13 +111,6 @@ class ScenarioParams:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioParams":
-        return cls.from_dict(json.loads(text))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def with_hypothesis(self, gravity_on: bool, cp_scale: float | None = None) -> "ScenarioParams":
         """Copy with the interaction flags of a hypothesis."""
         kwargs = {"gravity_on": gravity_on}
@@ -147,15 +135,6 @@ def coupling_tensor(p: ScenarioParams, n: int) -> np.ndarray:
     seps = branch_separations(p)
     inv = np.array([1.0 / seps[pair] ** n for pair in PAIRS])
     return inv[:, None] - inv[None, :]
-
-
-def q_components(p: ScenarioParams, n: int) -> np.ndarray:
-    """The three independent components (LR-LL, LR-RL, LL-RL) of Q^(n).
-
-    Used to check that couplings with different power laws are not
-    proportional, so no rescaling of one coupling can mimic another.
-    """
-    return coupling_tensor(p, n)[[_LR, _LR, _LL], [_LL, _RL, _RL]]
 
 
 def cp_coupling(p: ScenarioParams) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "partial_transpose",
     "negativity",
     "fidelity",
-    "purity",
     "dephase",
     "cholesky_to_state",
     "state_to_cholesky_angles",
@@ -167,11 +166,6 @@ def negativity(rho: np.ndarray):
     ev = np.linalg.eigvalsh(partial_transpose(rho))
     neg = 0.0 - np.minimum(ev, 0.0).sum(axis=-1)  # 0.0 - (-0.0) is +0.0
     return float(neg) if neg.ndim == 0 else neg
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2)."""
-    return float(np.real(np.trace(rho @ rho)))
 
 
 def _sqrt_eigenvalues(w: np.ndarray, what: str) -> np.ndarray:

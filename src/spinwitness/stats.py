@@ -237,9 +237,11 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
     keeps the last ``_CACHE_SIZE`` distinct thresholds. A NaN percentile,
     interpolated against an infinite lambda, raises RuntimeError uncached."""
     _check_alpha(alpha)
-    if trials < 100:
-        raise ValueError("lambda_min needs trials >= 100")
-    if not _is_count(seed, 0):  # True == 1 would find seed 1's cached threshold
+    # checked before the cache lookup: True == 1.0 == 1 would find 1's threshold
+    if not (_is_count(N) and _is_count(trials, 100)):
+        raise ValueError(f"shot count N and trials must be integers >= 1 (lambda_min "
+                         f"needs trials >= 100), got N={N!r}, trials={trials!r}")
+    if not _is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     key = (p_0.probs.tobytes(), p_a.probs.tobytes(), N, alpha, trials, seed)
     if key in _lambda_min_cache:

@@ -1,24 +1,18 @@
-"""Fixed-point maximum-likelihood state reconstruction from Pauli outcome
-counts, one data set or a stack of them, and tomography-based distinction
-statistics."""
+"""Fixed-point maximum-likelihood state reconstruction from stacks of Pauli
+outcome counts, and the tomography statistics built on it: reconstruction
+negativities and fidelities, and the negativity-exceedance test."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ScenarioParams, spin_state
 from .qstate import MeasurementSetup, fidelity, negativity
-from .stats import (DataVector, SuccessRateReport, _draw_counts, _is_count,
-                    distinction_success_rate, outcome_probabilities)
+from .stats import _draw_counts, _is_count, outcome_probabilities
 from .witnesses import optimal_fall_time
 
 __all__ = [
     "TOMOGRAPHY_OBSERVABLES",
-    "MLEConfig",
-    "r_operator",
     "mle_reconstruct",
-    "tomographic_success_rate",
     "negativity_exceedance",
     "reconstruction_batch",
 ]
@@ -31,21 +25,9 @@ _TAG_TOMO_ALT = 12
 _TAG_FID = 13
 
 
-@dataclass(frozen=True)
-class MLEConfig:
-    """Fixed-point iteration settings; no early stopping."""
-
-    iterations: int = 100
-
-    def __post_init__(self):
-        if not _is_count(self.iterations):
-            raise ValueError("iterations must be an integer >= 1")
-
-
 def _count_rows(n, setup: MeasurementSetup):
-    """(trials, 4 * n_observables) float counts and their row totals: one row
-    for a DataVector, one per trial for a count array."""
-    counts = np.atleast_2d(n.flat if isinstance(n, DataVector) else n).astype(float)
+    """A (trials, 4 * n_observables) count array as floats, and its row totals."""
+    counts = np.asarray(n, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(setup.projectors):
         raise ValueError(f"expected counts of shape (trials, {len(setup.projectors)}), "
                          f"got {counts.shape}")
@@ -69,43 +51,27 @@ def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
     return setup.operator(counts / (total[:, None] * np.maximum(probs, 1e-300)))
 
 
-def r_operator(rho: np.ndarray, n, setup: MeasurementSetup) -> np.ndarray:
-    """R(rho) = (1/|n|_1) sum_i n_i / Tr(rho P_i) * P_i: one 4x4 matrix for a
-    state and a DataVector, a stack for a (trials, 4, 4) stack of states and a
-    (trials, 4 * n_observables) count array."""
-    counts, total = _count_rows(n, setup)
-    R = _r_stack(np.reshape(rho, (-1, 4, 4)), counts, total, setup)
-    return R[0] if isinstance(n, DataVector) else R
-
-
-def mle_reconstruct(n, setup: MeasurementSetup, cfg: MLEConfig = MLEConfig()) -> np.ndarray:
+def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> np.ndarray:
     """Iterate rho <- normalize(R rho R) from the maximally mixed state for a
-    fixed number of iterations. A DataVector gives one state; a
-    (trials, 4 * n_observables) count array gives one state per row, all
-    iterated at once, each with the bits of its single-row call."""
-    counts, total = _count_rows(n, setup)
+    fixed number of iterations, no early stopping. A (trials, 4 *
+    n_observables) count array gives a (trials, 4, 4) stack, one state per
+    row, all iterated at once, each with the bits of its single-row call."""
+    if not _is_count(iterations):
+        raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
+    counts, total = _count_rows(counts, setup)
     rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (len(counts), 4, 4)).copy()
-    for _ in range(cfg.iterations):
+    for _ in range(iterations):
         R = _r_stack(rho, counts, total, setup)
         rho = R @ rho @ R
         rho /= np.einsum("bii->b", rho).real[:, None, None]
         rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    return rho[0] if isinstance(n, DataVector) else rho
+    return rho
 
 
 def _check_total(total_shots: int) -> int:
     if total_shots < 9 or total_shots % 9 != 0:
         raise ValueError(f"total shots must be a positive multiple of 9, got {total_shots!r}")
     return total_shots // 9
-
-
-def tomographic_success_rate(p: ScenarioParams, totals, alpha: float, trials: int,
-                             seed: int, lambda_trials: int = 10000) -> SuccessRateReport:
-    """Likelihood-ratio distinction on full-tomography data; shots are split
-    evenly over the 9 observables, so totals must be multiples of 9."""
-    per_obs = [_check_total(t) for t in totals]
-    return distinction_success_rate(p, TOMOGRAPHY_OBSERVABLES, per_obs, alpha,
-                                    trials, seed, lambda_trials)
 
 
 def _tomo_counts(rho: np.ndarray, N: int, seed: int, tag: int, trials: int):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -404,7 +405,7 @@ def test_readme_config_block_equals_code_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("### Configuration"):]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-    expected = {"scenario": ScenarioParams().to_dict()}
+    expected = {"scenario": dataclasses.asdict(ScenarioParams())}
     expected.update({_SECTION_NAME.get(c, c): defaults
                      for c, (_, defaults) in _COMMANDS.items()})
     assert json.loads(block) == expected

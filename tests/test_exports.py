@@ -1,6 +1,7 @@
 """The package's export lists name only what the package defines: every
-``__all__`` entry resolves, and each name ``spinwitness/__init__.py``
-re-exports is public in the module it comes from."""
+``__all__`` entry resolves, each name ``spinwitness/__init__.py`` re-exports
+is public in the module it comes from, and every public callable has a
+caller in the package or in the acceptance suite."""
 import ast
 import importlib
 import pkgutil
@@ -32,3 +33,54 @@ def test_package_reexports_resolve(module_name, attr):
     module = importlib.import_module(f"spinwitness.{module_name}")
     assert attr in module.__all__
     assert getattr(spinwitness, attr) is getattr(module, attr)
+
+
+SRC = Path(spinwitness.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+#: public callables with no caller in the package, each with its reason
+UNCALLED_API = {
+    "stats.log_likelihood_ratio": "the documented single-row lambda "
+                                  "(README, 'Infinite evidence')",
+}
+
+
+def referenced(tree, skip=None) -> set:
+    """Every bare name and attribute name read in ``tree``, outside ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def uncalled_public_callables() -> list:
+    """``module.name`` of each callable in a module's ``__all__`` that no
+    other module of the package (``__init__.py`` aside), no code of its own
+    module outside its definition and no acceptance test refers to."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")
+             if path.stem != "__init__"}
+    uses = {name: referenced(tree) for name, tree in trees.items()}
+    acceptance = referenced(ast.parse(ACCEPTANCE.read_text()))
+    orphans = []
+    for name, tree in sorted(trees.items()):
+        module = importlib.import_module(f"spinwitness.{name}")
+        elsewhere = acceptance.union(*(u for other, u in uses.items() if other != name))
+        for attr in getattr(module, "__all__", ()):
+            if not callable(getattr(module, attr)) or attr in elsewhere:
+                continue
+            definition = next((node for node in tree.body
+                               if getattr(node, "name", None) == attr), None)
+            if attr not in referenced(tree, skip=definition):
+                orphans.append(f"{name}.{attr}")
+    return orphans
+
+
+def test_every_public_callable_has_a_caller():
+    assert uncalled_public_callables() == sorted(UNCALLED_API)

@@ -60,6 +60,12 @@ class TestNegLogLikelihood:
         rho = cholesky_to_state(np.zeros(15))
         assert state_neg_log_likelihood(rho, data, (("Z", "Z"),)) == np.inf
 
+    def test_count_width_mismatch_names_both_widths(self):
+        # 12 witness counts against the 36 outcomes of 9 tomography observables
+        data = witness_data(seed=0, shots=10)
+        with pytest.raises(ValueError, match=r"shape \(trials, 36\), got \(1, 12\)"):
+            state_neg_log_likelihood(RHO_A, data, TOMOGRAPHY_OBSERVABLES)
+
     def test_reference_state_witness_indistinguishable(self):
         # the reference state reproduces the three witness correlators of the
         # true state within the sampling noise of a 10^3-shot experiment (its
@@ -112,7 +118,7 @@ class TestFindLoopholeState:
         cfg = OptimizationConfig(restarts=4, constraint_margin=0.0)
         result = find_loophole_state(data, bell, cfg, seed=2,
                                      observables=TOMOGRAPHY_OBSERVABLES)
-        mle = mle_reconstruct(data, setup)
+        mle = mle_reconstruct(data.flat[None], setup)[0]
         assert fidelity(result.state, mle) >= 0.999
 
     def test_unconstrained_fit_at_least_as_likely_as_fixed_point(self):
@@ -124,9 +130,17 @@ class TestFindLoopholeState:
         cfg = OptimizationConfig(restarts=4, constraint_margin=0.0)
         result = find_loophole_state(data, bell, cfg, seed=2)
 
-        mle = mle_reconstruct(data, MeasurementSetup(W1_OBSERVABLES))
+        mle = mle_reconstruct(data.flat[None], MeasurementSetup(W1_OBSERVABLES))[0]
         nll_mle = state_neg_log_likelihood(mle, data, W1_OBSERVABLES)
         assert result.nll <= nll_mle + 1e-6
+
+    def test_non_integer_seed_raises(self):
+        # the random starts would run int(seed)'s: 2.7 as 2, True as 1
+        data = witness_data(seed=3)
+        for bad in (2.7, True, -1, 1.0):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                find_loophole_state(data, RHO_0, OptimizationConfig(restarts=2),
+                                    seed=bad)
 
     def test_infeasible_constraint_raises(self):
         data = witness_data(seed=3)

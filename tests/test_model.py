@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 from spinwitness.model import (PAIRS, ScenarioParams, branch_separations,
                                characteristic_time, coupling_tensor, cp_coupling,
                                frequency_readings, pea_corrections, phase_rates,
-                               q_components, spin_state)
-from spinwitness.qstate import check_density_matrix, dephase, negativity, purity
+                               spin_state)
+from spinwitness.qstate import check_density_matrix, dephase, negativity
 from conftest import random_scenario
 
 G = 6.674e-11
@@ -26,7 +26,8 @@ P350 = ScenarioParams(separation_d=350e-6)
 
 class TestScenarioParams:
     def test_defaults_are_valid(self):
-        P450.validate()
+        # construction validates: a frozen instance cannot become invalid
+        assert ScenarioParams(**dataclasses.asdict(P450)) == P450
 
     def test_rejects_touching_branches(self):
         with pytest.raises(ValueError, match="touch"):
@@ -70,7 +71,7 @@ class TestScenarioParams:
     def test_json_round_trip(self):
         import json
         p = ScenarioParams(dephasing_gamma=0.3, gravity_on=False)
-        q = ScenarioParams.from_json(json.dumps(p.to_dict()))
+        q = ScenarioParams.from_dict(json.loads(json.dumps(dataclasses.asdict(p))))
         assert q == p
 
 
@@ -130,7 +131,9 @@ class TestCouplingTensor:
     def test_q_components_pairwise_independent(self):
         # differences of inverse separations at different powers are never
         # proportional, so no coupling rescale can mimic another power law
-        vecs = {n: q_components(P450, n) for n in (1, 3, 7)}
+        # the three independent components LR-LL, LR-RL and LL-RL
+        vecs = {n: coupling_tensor(P450, n)[[LR, LR, LL], [LL, RL, RL]]
+                for n in (1, 3, 7)}
         for a, b in [(1, 3), (1, 7), (3, 7)]:
             m = np.column_stack([vecs[a] / np.linalg.norm(vecs[a]),
                                  vecs[b] / np.linalg.norm(vecs[b])])
@@ -262,7 +265,8 @@ class TestSpinState:
         for _ in range(100):
             p = dataclasses.replace(random_scenario(rng), dephasing_gamma=0.0)
             tau = float(rng.uniform(0, 20))
-            assert purity(spin_state(p, tau)) == pytest.approx(1.0, abs=1e-9)
+            rho = spin_state(p, tau)
+            assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-9)
 
     def test_dephasing_channel_consistency(self, rng):
         # damped evolution equals the per-qubit phase-damping channel applied

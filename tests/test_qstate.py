@@ -8,7 +8,7 @@ from spinwitness.qstate import (PAULI, MeasurementSetup,
                                 check_density_matrix,
                                 cholesky_to_state, dephase, eigenbasis,
                                 expectation, fidelity, negativity,
-                                partial_transpose, pauli_tensor, purity,
+                                partial_transpose, pauli_tensor,
                                 state_to_cholesky_angles)
 from spinwitness.stats import W1_OBSERVABLES
 from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES as TOMO
@@ -403,4 +403,4 @@ def test_dephase_kills_coherence():
     plus = np.full((4, 4), 0.25, dtype=complex)
     out = dephase(plus, 0.5)  # p=1/2 is complete dephasing
     assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
-    assert purity(out) == pytest.approx(0.25)
+    assert np.trace(out @ out).real == pytest.approx(0.25)

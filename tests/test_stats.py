@@ -418,6 +418,15 @@ class TestLambdaMinCache:
         assert lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200,
                           seed=np.int64(1)) is one
 
+    def test_bad_count_raises_before_the_cache_lookup(self, monkeypatch):
+        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+        lambda_min(self.P0, self.PA, N=1, alpha=0.05, trials=200, seed=3)
+        # True == 1.0 == 1 and 200.0 == 200: the lookup alone would answer
+        for bad in (dict(N=True), dict(N=1.0), dict(trials=200.0)):
+            args = dict(N=1, trials=200) | bad
+            with pytest.raises(ValueError, match="N and trials must be integers"):
+                lambda_min(self.P0, self.PA, alpha=0.05, seed=3, **args)
+
     def test_control_run_reuses_thresholds(self, monkeypatch):
         monkeypatch.setattr(stats, "_lambda_min_cache", {})
         kwargs = dict(alpha=0.01, trials=150, seed=8, lambda_trials=1000)

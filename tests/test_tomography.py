@@ -4,15 +4,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spinwitness import tomography
 from spinwitness.loophole import state_neg_log_likelihood
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import MeasurementSetup, check_density_matrix, fidelity
 from spinwitness.stats import (DataVector, distinction_success_rate,
                                outcome_probabilities, simulate_measurements)
-from spinwitness.tomography import (MLEConfig, TOMOGRAPHY_OBSERVABLES,
-                                    mle_reconstruct, negativity_exceedance,
-                                    r_operator, reconstruction_batch,
-                                    tomographic_success_rate)
+from spinwitness.tomography import (TOMOGRAPHY_OBSERVABLES, mle_reconstruct,
+                                    negativity_exceedance, reconstruction_batch)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time
 from conftest import random_state
 
@@ -24,6 +23,13 @@ SETUP = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
 def uniform_data(shots_per_obs: int) -> DataVector:
     counts = np.full((9, 4), shots_per_obs // 4, dtype=np.int64)
     return DataVector(counts, shots_per_obs)
+
+
+def r_stack(rho, counts, setup=SETUP):
+    """R of each state in a stack against its row of a (trials, 4 *
+    n_observables) count array, as the MLE checks and computes it."""
+    counts, total = tomography._count_rows(counts, setup)
+    return tomography._r_stack(np.reshape(rho, (-1, 4, 4)), counts, total, setup)
 
 
 class TestSetup:
@@ -46,7 +52,7 @@ class TestSetup:
 class TestROperator:
     def test_identity_at_exact_frequencies(self):
         # counts exactly proportional to the probabilities of I/4
-        r = r_operator(np.eye(4, dtype=complex) / 4, uniform_data(40), SETUP)
+        r = r_stack(np.eye(4, dtype=complex) / 4, uniform_data(40).flat[None])[0]
         assert np.abs(r - np.eye(4)).max() <= 1e-10
 
     def test_single_projector_concentration(self):
@@ -55,14 +61,14 @@ class TestROperator:
         # bypass the per-block sum check: measure only the first observable
         data = DataVector(counts[:1], 7)
         one_obs = MeasurementSetup(TOMOGRAPHY_OBSERVABLES[:1])
-        r = r_operator(np.eye(4, dtype=complex) / 4, data, one_obs)
+        r = r_stack(np.eye(4, dtype=complex) / 4, data.flat[None], one_obs)[0]
         proj = SETUP.projectors[0]
         assert np.abs(r / np.trace(r).real - proj / np.trace(proj).real).max() < 1e-12
 
     def test_matches_direct_summation(self, rng):
         rho = random_state(rng)
         data = simulate_measurements(rho, TOMOGRAPHY_OBSERVABLES, 50, seed=2)
-        r = r_operator(rho, data, SETUP)
+        r = r_stack(rho, data.flat[None])[0]
         direct = np.zeros((4, 4), dtype=complex)
         for i, cnt in enumerate(data.flat):
             proj = SETUP.projectors[i]
@@ -78,19 +84,19 @@ class TestROperator:
         counts[:, 0] = 5
         counts[8] = [0, 0, 5, 0]  # ZZ block
         with pytest.raises(ZeroDivisionError, match="Z"):
-            r_operator(rho, DataVector(counts, 5), SETUP)
+            r_stack(rho, counts.reshape(1, 36))
 
 
 class TestMLE:
     def test_uniform_data_fixed_point(self):
-        rho = mle_reconstruct(uniform_data(40), SETUP)
+        rho = mle_reconstruct(uniform_data(40).flat[None], SETUP)[0]
         assert np.abs(rho - np.eye(4) / 4).max() <= 1e-12
 
     def test_likelihood_non_decreasing(self, rng):
         tau = optimal_fall_time(P450).tau
         truth = spin_state(P450, tau)
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 30, seed=5)
-        iterates = [mle_reconstruct(data, SETUP, MLEConfig(k))
+        iterates = [mle_reconstruct(data.flat[None], SETUP, iterations=k)[0]
                     for k in range(1, 101)]
         loglik = -np.array([state_neg_log_likelihood(rho, data,
                                                      TOMOGRAPHY_OBSERVABLES)
@@ -103,17 +109,21 @@ class TestMLE:
         tau = optimal_fall_time(P450).tau
         truth = spin_state(P450, tau)
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 20000, seed=8)
-        rho = mle_reconstruct(data, SETUP)
+        rho = mle_reconstruct(data.flat[None], SETUP)[0]
         assert fidelity(rho, truth) > 0.999
 
-    def test_one_row_stack_equals_data_vector_call(self):
+    def test_one_count_row_gives_a_one_state_stack(self):
         truth = spin_state(P350, optimal_fall_time(P350).tau)
         for seed in range(5):
             data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 10, seed=seed)
-            single = mle_reconstruct(data, SETUP)
             stack = mle_reconstruct(data.flat[None], SETUP)
-            assert single.shape == (4, 4) and stack.shape == (1, 4, 4)
-            assert np.array_equal(stack[0], single)
+            assert stack.shape == (1, 4, 4)
+            check_density_matrix(stack[0])
+        # only a (trials, 36) count array: neither a lone row nor a DataVector
+        with pytest.raises(ValueError, match="shape"):
+            mle_reconstruct(data.flat, SETUP)
+        with pytest.raises(TypeError):
+            mle_reconstruct(data, SETUP)
 
     def test_stack_rows_match_single_calls(self):
         truth = spin_state(P350, optimal_fall_time(P350).tau)
@@ -122,7 +132,7 @@ class TestMLE:
         stack = mle_reconstruct(np.array([d.flat for d in data]), SETUP)
         assert stack.shape == (40, 4, 4)
         for d, rho in zip(data, stack):
-            assert np.array_equal(rho, mle_reconstruct(d, SETUP))
+            assert np.array_equal(rho, mle_reconstruct(d.flat[None], SETUP)[0])
 
     def test_counted_zero_probability_in_one_trial_raises_naming_it(self):
         # ZZ outcome 2 (|10>) can never be seen when every other trial is
@@ -135,14 +145,14 @@ class TestMLE:
         rho = np.zeros((5, 4, 4), dtype=complex)
         rho[:, 0, 0] = 1.0
         with pytest.raises(ZeroDivisionError, match=r"trial 3: .*'Z', 'Z'.*outcome 2"):
-            r_operator(rho, counts.reshape(5, 36), SETUP)
+            r_stack(rho, counts.reshape(5, 36))
 
     def test_uncounted_zero_probability_weighs_nothing(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
         counts = np.zeros((9, 4), dtype=np.int64)
         counts[:, 0] = 5
-        r = r_operator(rho, DataVector(counts, 5), SETUP)
+        r = r_stack(rho, counts.reshape(1, 36))[0]
         assert np.isfinite(r).all()
         direct = sum(5 / np.trace(rho @ SETUP.projectors[4 * i]).real
                      * SETUP.projectors[4 * i] for i in range(9)) / 45
@@ -154,18 +164,19 @@ class TestMLE:
     def test_reordering_trials_reorders_states_bit_for_bit(self, case):
         counts, order = case
         assume(counts.sum(axis=1).all())  # every trial has shots
-        cfg = MLEConfig(iterations=20)
-        rho = mle_reconstruct(counts, SETUP, cfg)
-        assert mle_reconstruct(counts[order], SETUP, cfg).tobytes() == rho[order].tobytes()
+        rho = mle_reconstruct(counts, SETUP, iterations=20)
+        assert mle_reconstruct(counts[order], SETUP,
+                               iterations=20).tobytes() == rho[order].tobytes()
 
     def test_count_width_must_match_setup(self):
         with pytest.raises(ValueError, match="shape"):
             mle_reconstruct(np.ones((3, 12)), SETUP)
 
     def test_iterations_validated(self):
+        counts = uniform_data(40).flat[None]
         for bad in (0, 1.5, 10.0, float("nan"), True):
-            with pytest.raises(ValueError):
-                MLEConfig(bad)
+            with pytest.raises(ValueError, match="iterations must be an integer"):
+                mle_reconstruct(counts, SETUP, iterations=bad)
 
     def test_zero_count_row_names_its_trial(self):
         counts = np.ones((2, 36))
@@ -191,15 +202,14 @@ class TestMLE:
 class TestDistinction:
     def test_totals_must_be_multiples_of_nine(self):
         with pytest.raises(ValueError):
-            tomographic_success_rate(P450, [100], 0.01, 100, 0,
-                                     lambda_trials=1000)
-        with pytest.raises(ValueError):
             negativity_exceedance(P450, 100, 100, 0)
+        with pytest.raises(ValueError):
+            reconstruction_batch(P450, 100, 100, 0)
 
     def test_fractional_total_raises_naming_it(self):
         # 18.7 used to run as 18 total shots, 2 per observable
         with pytest.raises(ValueError, match=r"multiple of 9, got 18\.7"):
-            tomographic_success_rate(P450, [18.7], 0.01, 100, 0, lambda_trials=100)
+            negativity_exceedance(P450, 18.7, 100, 0)
 
     def test_identical_hypotheses_control(self):
         rep = distinction_success_rate(P350, TOMOGRAPHY_OBSERVABLES, [20],
@@ -214,8 +224,9 @@ class TestDistinction:
         witness = distinction_success_rate(p, W1_OBSERVABLES, [120], 0.01,
                                            trials=600, seed=4,
                                            lambda_trials=4000)
-        tomo = tomographic_success_rate(p, [360], 0.01, trials=600, seed=4,
-                                        lambda_trials=4000)
+        # 360 tomography shots split evenly over the 9 observables
+        tomo = distinction_success_rate(p, TOMOGRAPHY_OBSERVABLES, [40], 0.01,
+                                        trials=600, seed=4, lambda_trials=4000)
         assert witness.shots_axis == tomo.shots_axis
         assert abs(witness.rates[0] - tomo.rates[0]) <= 0.15
 
