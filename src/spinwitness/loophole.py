@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .qstate import (MeasurementSetup, check_density_matrix, cholesky_to_state,
-                     negativity, state_to_cholesky_angles)
+from .qstate import (_L_COLS, _L_ROWS, MeasurementSetup, _cholesky_factor,
+                     check_density_matrix, cholesky_to_state, negativity,
+                     partial_transpose, state_to_cholesky_angles)
 from .stats import DataVector, _is_count, trial_rng
 from .tomography import _count_rows, mle_reconstruct
 from .witnesses import W1_OBSERVABLES
@@ -18,6 +19,7 @@ from .witnesses import W1_OBSERVABLES
 __all__ = [
     "OptimizationConfig",
     "LoopholeResult",
+    "RestartRecord",
     "LoopholeVerification",
     "InfeasibleSearchError",
     "KNOWN_LOOPHOLE_STATE",
@@ -43,7 +45,7 @@ KNOWN_LOOPHOLE_STATE = np.array([
 @dataclass(frozen=True)
 class OptimizationConfig:
     max_iterations: int = 150
-    gradient_step: float = 1e-6
+    gradient_step: float = 1e-6  # central differences where the NLL is infinite
     constraint_margin: float = 1e-4
     restarts: int = 32
 
@@ -58,15 +60,30 @@ class OptimizationConfig:
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """One SLSQP run of a search: its ``start`` ("mle" or "random"), and
+    SLSQP's ``status``, ``nit``, ``nfev`` and final ``fun``, which are None
+    when the run raised."""
+
+    start: str
+    status: int | None
+    nit: int | None
+    nfev: int | None
+    fun: float | None
+
+
+@dataclass(frozen=True)
 class LoopholeResult:
     """Best feasible state found: its fit to the data and its entanglement,
-    plus ``(restart index, repr(exception))`` for each restart that raised."""
+    plus ``(restart index, repr(exception))`` for each restart that raised
+    and one ``RestartRecord`` per restart, in restart order."""
 
     state: np.ndarray
     nll: float
     negativity: float
     constraint_satisfied: bool
     restart_errors: tuple = ()
+    restarts: tuple = ()
 
 
 class InfeasibleSearchError(RuntimeError):
@@ -97,32 +114,35 @@ def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
 
 
 class _Search:
-    """SLSQP callbacks of one search (NLL objective, negativity constraint,
-    central-difference Jacobians) and the incumbent: the best feasible point
-    over every state evaluated. SLSQP asks for the objective and constraint,
-    and for both Jacobians, at the same x (updated in place, so keyed by its
-    bytes): the state at x and the stack of its probe states are built once."""
+    """SLSQP callbacks of one search (NLL objective, negativity constraint
+    and their exact Jacobians) and the incumbent: the best feasible point at
+    which the objective was evaluated. SLSQP asks for the objective and
+    constraint, and for both Jacobians, at the same x (updated in place, so
+    keyed by its bytes): the state at x and its Cholesky factor with the
+    factor's derivatives are built once."""
 
     def __init__(self, counts: np.ndarray, setup: MeasurementSetup, neg_cap: float,
                  h: float):
         self.counts, self.setup, self.neg_cap, self.h = counts, setup, neg_cap, h
         self.best: tuple | None = None  # (nll, negativity, angles)
-        self._cache = [(None, None), (None, None)]  # [probes] -> (key, value)
+        self._state = self._factor = (None, None)  # (key, value)
 
-    def _at(self, x: np.ndarray, probes: bool):
-        """(angles, NLL, negativity) at x, or with ``probes`` the stack of
-        probes x + h e_0, x - h e_0, x + h e_1, ... with arrays of both."""
+    def _at(self, x: np.ndarray):
+        """(state, NLL, negativity) at x."""
         key = x.tobytes()
-        if self._cache[probes][0] != key:
-            points = np.frombuffer(key)
-            if probes:
-                steps = self.h * np.eye(x.size)
-                points = np.empty((2 * x.size, x.size))
-                points[0::2], points[1::2] = x + steps, x - steps
-            rho = cholesky_to_state(points)
-            nll = _nll(rho, self.counts, self.setup)
-            self._cache[probes] = key, (points, nll, negativity(rho))
-        return self._cache[probes][1]
+        if self._state[0] != key:
+            rho = cholesky_to_state(np.frombuffer(key))
+            self._state = key, (rho, _nll(rho, self.counts, self.setup), negativity(rho))
+        return self._state[1]
+
+    def _gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Tr(weights d rho / d x_k) = 2 Re Tr(L^dagger weights dL / d x_k)
+        for each angle k, for Hermitian weights."""
+        key = x.tobytes()
+        if self._factor[0] != key:
+            self._factor = key, _cholesky_factor(np.frombuffer(key), jacobian=True)
+        L, dl = self._factor[1]
+        return 2 * (dl @ (L.conj().T @ weights)[_L_COLS, _L_ROWS]).real
 
     def consider(self, x: np.ndarray, fx: float, neg: float) -> None:
         gap = self.neg_cap - neg
@@ -135,23 +155,36 @@ class _Search:
             self.best = (float(fx), float(ng), x.copy())
 
     def objective(self, x: np.ndarray) -> float:
-        _, fx, neg = self._at(x, False)
+        _, fx, neg = self._at(x)
         self.consider(x, fx, neg)
         return fx if np.isfinite(fx) else 1e300
 
     def constraint(self, x: np.ndarray) -> float:
-        return self.neg_cap - self._at(x, False)[2]
+        return self.neg_cap - self._at(x)[2]
 
     def objective_jac(self, x: np.ndarray) -> np.ndarray:
-        probes, fx, neg = self._at(x, True)
-        for k in range(len(probes)):  # offered to the incumbent in probe order
-            self.consider(probes[k], fx[k], neg[k])
-        f = np.where(np.isfinite(fx), fx, 1e300)
-        return (f[0::2] - f[1::2]) / (2 * self.h)
+        """-Tr(W d rho / d x_k) with W = sum_p (n_p / p_p) P_p over the
+        counted outcomes. Where a counted outcome has zero probability (an
+        infinite NLL) it is the central difference of the objective with
+        step h instead; its probes are not offered to the incumbent."""
+        rho, fx, _ = self._at(x)
+        if np.isfinite(fx):
+            probs = self.setup.probabilities(rho)
+            active = self.counts > 0
+            weights = np.divide(self.counts, probs, out=np.zeros_like(probs), where=active)
+            return -self._gradient(x, self.setup.operator(weights))
+        steps = self.h * np.eye(x.size)
+        f = _nll(cholesky_to_state(np.stack((x + steps, x - steps))), self.counts, self.setup)
+        f = np.where(np.isfinite(f), f, 1e300)
+        return (f[0] - f[1]) / (2 * self.h)
 
     def constraint_jac(self, x: np.ndarray) -> np.ndarray:
-        c = self.neg_cap - self._at(x, True)[2]
-        return (c[0::2] - c[1::2]) / (2 * self.h)
+        """Tr(Q d rho / d x_k) with Q = (v v^dagger)^Gamma summed over the
+        eigenvectors v of rho^Gamma with negative eigenvalues (at most one
+        for two qubits): zero at a state with a positive partial transpose."""
+        ev, v = np.linalg.eigh(partial_transpose(self._at(x)[0]))
+        v = v[:, ev < 0]
+        return self._gradient(x, partial_transpose(v @ v.conj().T))
 
 
 def find_loophole_state(n: DataVector, rho_null: np.ndarray,
@@ -162,9 +195,10 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
 
     Multi-start: the fixed-point MLE of the data seeds the first restart, the
     rest start from uniform random angles. The incumbent is the best feasible
-    point over every evaluation, so accepted improvements are monotone. Ties
-    in likelihood break toward lower negativity. A restart whose SLSQP run
-    raises is recorded in ``restart_errors``.
+    point at which the objective was evaluated, so accepted improvements are
+    monotone. Ties in likelihood break toward lower negativity. A restart
+    whose SLSQP run raises is recorded in ``restart_errors``; every restart
+    has its ``RestartRecord`` in ``restarts``.
     """
     if not _is_count(seed, 0):  # trial_rng would run int(seed)'s starts
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
@@ -177,17 +211,22 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
         rng = trial_rng(seed, (_TAG_RESTART,), r)
         starts.append(rng.uniform(0.0, np.pi, 15))
 
-    errors = []
+    errors, records = [], []
     for r, x0 in enumerate(starts):
         search.objective(x0)  # offers x0 to the incumbent
+        start = "random" if r else "mle"
         try:
-            minimize(search.objective, x0, method="SLSQP",
-                     jac=search.objective_jac,
-                     constraints=[{"type": "ineq", "fun": search.constraint,
-                                   "jac": search.constraint_jac}],
-                     options={"maxiter": cfg.max_iterations, "ftol": 1e-10})
+            res = minimize(search.objective, x0, method="SLSQP",
+                           jac=search.objective_jac,
+                           constraints=[{"type": "ineq", "fun": search.constraint,
+                                         "jac": search.constraint_jac}],
+                           options={"maxiter": cfg.max_iterations, "ftol": 1e-10})
         except (ValueError, ZeroDivisionError) as exc:
             errors.append((r, repr(exc)))
+            records.append(RestartRecord(start, None, None, None, None))
+        else:
+            records.append(RestartRecord(start, int(res.status), int(res.nit),
+                                         int(res.nfev), float(res.fun)))
 
     if search.best is None:
         raise InfeasibleSearchError(
@@ -198,7 +237,7 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
     nll, neg, angles = search.best
     return LoopholeResult(state=cholesky_to_state(angles), nll=nll,
                           negativity=neg, constraint_satisfied=True,
-                          restart_errors=tuple(errors))
+                          restart_errors=tuple(errors), restarts=tuple(records))
 
 
 @dataclass(frozen=True)

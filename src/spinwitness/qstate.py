@@ -221,19 +221,43 @@ def cholesky_to_state(angles) -> np.ndarray:
         raise ValueError(f"expected 9 thetas and 6 phis, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("angles must be finite")
+    L = _cholesky_factor(x)
+    return L @ L.conj().swapaxes(-1, -2)
+
+
+def _cholesky_factor(x: np.ndarray, jacobian: bool = False):
+    """The Cholesky factor L at finite angles of shape (..., 15) (see
+    ``cholesky_to_state``) and, with ``jacobian``, the derivatives
+    d l_m / d x_k of its ten entries l_m = L[_L_ROWS[m], _L_COLS[m]], of
+    shape (..., 15, 10)."""
     lead = x.shape[:-1]
     th, ph = x[..., :9], x[..., 9:]
+    sin, cos = np.sin(th), np.cos(th)
     # 9-sphere recursion: the magnitudes of the ten entries of L, unit norm
-    sines = np.concatenate((np.ones(lead + (1,)), np.cumprod(np.sin(th), axis=-1)),
-                           axis=-1)
+    sines = np.concatenate((np.ones(lead + (1,)), np.cumprod(sin, axis=-1)), axis=-1)
     mags = np.empty(lead + (10,))
-    mags[..., :9] = sines[..., :9] * np.cos(th)
+    mags[..., :9] = sines[..., :9] * cos
     mags[..., 9] = sines[..., 9]
     entries = mags.astype(complex)
-    entries[..., 4:] *= np.exp(1j * ph)
+    phase = np.exp(1j * ph)
+    entries[..., 4:] *= phase
     L = np.zeros(lead + (4, 4), dtype=complex)
     L[..., _L_ROWS, _L_COLS] = entries
-    return L @ L.conj().swapaxes(-1, -2)
+    if not jacobian:
+        return L
+    # row j of the products with sin(theta_j) replaced by cos(theta_j): the
+    # derivative of sines[i + 1] by theta_j where j <= i
+    eye = np.eye(9, dtype=bool)
+    dsines = np.cumprod(np.where(eye, cos[..., None, :], sin[..., None, :]), axis=-1)
+    dmags = np.zeros(lead + (9, 10))
+    dmags[..., 1:] = np.where(np.tri(9, dtype=bool).T, dsines, 0.0)
+    dmags[..., :9] *= cos[..., None, :]
+    dmags[..., :9] -= np.where(eye, (sines[..., :9] * sin)[..., None, :], 0.0)
+    jac = np.zeros(lead + (15, 10), dtype=complex)
+    jac[..., :9, :] = dmags
+    jac[..., :9, 4:] *= phase[..., None, :]
+    jac[..., np.arange(9, 15), np.arange(4, 10)] = 1j * entries[..., 4:]
+    return L, jac
 
 
 def state_to_cholesky_angles(rho: np.ndarray) -> np.ndarray:

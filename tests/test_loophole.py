@@ -165,6 +165,32 @@ class TestFindLoopholeState:
         assert result.restart_errors == (
             (1, "ValueError('angles must be finite')"),)
 
+    def test_one_record_per_restart(self):
+        data = witness_data(seed=7)
+        cfg = OptimizationConfig(restarts=3, max_iterations=20)
+        result = find_loophole_state(data, RHO_0, cfg, seed=7)
+        assert [r.start for r in result.restarts] == ["mle", "random", "random"]
+        for record in result.restarts:
+            assert record.status in (0, 9)  # converged, or stopped at the cap
+            assert 1 <= record.nit <= 20 and record.nfev >= record.nit
+            assert math.isfinite(record.fun)
+
+    def test_failed_restart_has_an_empty_record(self, monkeypatch):
+        real_minimize = lh.minimize
+        calls = []
+
+        def flaky(fun, x0, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise ZeroDivisionError("probability 0")
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(lh, "minimize", flaky)
+        cfg = OptimizationConfig(restarts=2, max_iterations=5)
+        result = find_loophole_state(witness_data(seed=6), RHO_0, cfg, seed=6)
+        assert result.restarts[0].status is not None
+        assert result.restarts[1] == lh.RestartRecord("random", None, None, None, None)
+
     def test_config_validation(self):
         for bad in ({"restarts": 0}, {"gradient_step": 0.0}, {"restarts": 1.5},
                     {"max_iterations": 10.0}, {"gradient_step": math.nan},
@@ -212,8 +238,8 @@ def test_result_json_round_trip(tmp_path):
     assert payload["negativity"] == pytest.approx(result.negativity)
 
 
-# --- reference for the batched Jacobians: the search's gradients as they were
-# computed one probe at a time, kept as the oracle the batch must reproduce
+# --- reference for the exact Jacobians: central differences of the search's
+# objective and constraint, computed one probe at a time
 
 def _central_grad(fun, x: np.ndarray, h: float) -> np.ndarray:
     grad = np.empty_like(x)
@@ -265,44 +291,52 @@ def _jacobian_cases():
             yield data, obs, x
 
 
-class TestBatchedJacobians:
-    @pytest.mark.parametrize("h", [1e-6, 1e-3])
-    def test_bit_identical_to_probe_by_probe(self, h):
+class TestAnalyticJacobians:
+    def test_match_central_differences(self):
+        h = 1e-6
         neg_cap = negativity(RHO_0) - 1e-4
+        finite = 0
         for data, obs, x in _jacobian_cases():
             counts = data.flat.astype(float)
             setup = MeasurementSetup(obs)
-            seen = []
-            objective, constraint = _oracle(counts, setup, neg_cap, seen)
+            objective, constraint = _oracle(counts, setup, neg_cap, [])
             search = lh._Search(counts, setup, neg_cap, h)
-            offered = []
-            consider = search.consider
-            search.consider = lambda x, fx, neg: (
-                offered.append((x.copy(), fx, neg)), consider(x, fx, neg))
-
-            assert np.array_equal(search.objective_jac(x),
-                                  _central_grad(objective, x, h))
-            assert np.array_equal(search.constraint_jac(x),
-                                  _central_grad(constraint, x, h))
             assert search.objective(x) == objective(x)
             assert search.constraint(x) == constraint(x)
-            assert len(offered) == len(seen) == 31
-            for (xb, fb, nb), (xo, fo, no) in zip(offered, seen):
-                assert np.array_equal(xb, xo)
-                assert fb == fo and nb == no
+            cases = [(search.constraint_jac(x), _central_grad(constraint, x, h))]
+            if np.isfinite(state_neg_log_likelihood(cholesky_to_state(x), data, obs)):
+                finite += 1
+                cases.append((search.objective_jac(x), _central_grad(objective, x, h)))
+            for exact, central in cases:
+                scale = np.abs(central).max()
+                assert np.abs(exact - central).max() <= 1e-6 * scale
+        assert finite == 27  # at the three all-zero points the NLL is infinite
 
-    def test_zero_probability_probes_are_never_incumbent(self):
-        # at all-zero angles every probe but the two along the first theta
-        # is exactly |00><00|, which gives a counted ZZ outcome zero
-        # probability: an infinite NLL, never the incumbent
+    def test_constraint_gradient_is_zero_at_ppt_state(self):
+        data = witness_data(seed=0)
+        search = lh._Search(data.flat.astype(float), MeasurementSetup(W1_OBSERVABLES),
+                            negativity(RHO_0), 1e-6)
+        assert negativity(cholesky_to_state(MIXED_ANGLES)) == 0.0
+        assert np.all(search.constraint_jac(MIXED_ANGLES) == 0.0)
+
+    def test_infinite_nll_falls_back_to_central_differences(self):
+        # at all-zero angles the state is |00><00|, which gives a counted ZZ
+        # outcome zero probability: an infinite NLL, where the Jacobian is
+        # the central difference of the capped objective and none of its
+        # probes is offered to the incumbent
         data = DataVector(np.array([[3, 5, 0, 0]], dtype=np.int64), 8)
-        setup = MeasurementSetup((("Z", "Z"),))
-        search = lh._Search(data.flat.astype(float), setup, 1.0, 1e-6)
-        grad = search.objective_jac(np.zeros(15))
-        assert np.isfinite(search.best[0])
-        assert not np.array_equal(search.best[2], np.zeros(15))
-        assert np.all(grad[1:] == 0.0)
+        counts, setup, x = data.flat.astype(float), MeasurementSetup((("Z", "Z"),)), np.zeros(15)
+        objective, _ = _oracle(counts, setup, 1.0, [])
+        search = lh._Search(counts, setup, 1.0, 1e-6)
+        offered = []
+        search.consider = lambda *args: offered.append(args)
+        assert search.objective(x) == 1e300
+        offered.clear()
+        assert np.array_equal(search.objective_jac(x), _central_grad(objective, x, 1e-6))
+        assert offered == [] and search.best is None
 
+
+class TestBatchedJacobians:
     def test_stack_nll_equals_loop(self):
         rng = np.random.default_rng(5)
         data = simulate_measurements(RHO_A, TOMOGRAPHY_OBSERVABLES, 2, seed=9)
