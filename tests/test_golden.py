@@ -46,7 +46,7 @@ GOLDEN = {
     },
     "loophole": {
         "loophole.json":
-            "6b4f0aa7e478057c57f4b3a6cd73f74395bd961a9167dfe1a8d3309e60d05907",
+            "9d3fd838761625ac11a085992f06d22e36c618290b9829a4618046cb5850e352",
     },
     "pea": {
         "pea.csv":
