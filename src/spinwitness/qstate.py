@@ -204,6 +204,10 @@ _L_SLOTS = [(0, 0), (1, 1), (2, 2), (3, 3),
             (1, 0), (2, 1), (3, 2),
             (2, 0), (3, 1), (3, 0)]
 _L_ROWS, _L_COLS = np.array(_L_SLOTS).T
+# d l_m / d phi_p is nonzero only at angle 9 + p and entry 4 + p
+_PHI_ROWS, _PHI_COLS = np.arange(9, 15), np.arange(4, 10)
+_EYE9 = np.eye(9, dtype=bool)
+_UPPER9 = np.triu(np.ones((9, 9)))
 
 
 def cholesky_to_state(angles) -> np.ndarray:
@@ -245,18 +249,17 @@ def _cholesky_factor(x: np.ndarray, jacobian: bool = False):
     L[..., _L_ROWS, _L_COLS] = entries
     if not jacobian:
         return L
-    # row j of the products with sin(theta_j) replaced by cos(theta_j): the
-    # derivative of sines[i + 1] by theta_j where j <= i
-    eye = np.eye(9, dtype=bool)
-    dsines = np.cumprod(np.where(eye, cos[..., None, :], sin[..., None, :]), axis=-1)
+    # d sines[i + 1] / d theta_j: the running product with sin(theta_j)
+    # replaced by cos(theta_j), zero where i < j
     dmags = np.zeros(lead + (9, 10))
-    dmags[..., 1:] = np.where(np.tri(9, dtype=bool).T, dsines, 0.0)
+    dmags[..., 1:] = np.cumprod(np.where(_EYE9, cos[..., None, :], sin[..., None, :]),
+                                axis=-1) * _UPPER9
     dmags[..., :9] *= cos[..., None, :]
-    dmags[..., :9] -= np.where(eye, (sines[..., :9] * sin)[..., None, :], 0.0)
+    dmags[..., :9] -= _EYE9 * (sines[..., :9] * sin)[..., None, :]
     jac = np.zeros(lead + (15, 10), dtype=complex)
-    jac[..., :9, :] = dmags
-    jac[..., :9, 4:] *= phase[..., None, :]
-    jac[..., np.arange(9, 15), np.arange(4, 10)] = 1j * entries[..., 4:]
+    jac[..., :9, :4] = dmags[..., :4]
+    jac[..., :9, 4:] = dmags[..., 4:] * phase[..., None, :]
+    jac[..., _PHI_ROWS, _PHI_COLS] = 1j * entries[..., 4:]
     return L, jac
 
 
