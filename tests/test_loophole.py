@@ -332,6 +332,25 @@ class TestAnalyticJacobians:
 
 
 class TestBatchedJacobians:
+    @pytest.mark.parametrize("h", [1e-6, 1e-3])
+    def test_bit_identical_to_probe_by_probe(self, h):
+        # where the NLL is infinite the objective Jacobian is the central
+        # difference of one stack of 30 probes; it must give the bits of the
+        # probes evaluated one at a time, and offer none of them
+        neg_cap = negativity(RHO_0) - 1e-4
+        infinite = 0
+        for data, obs, x in _jacobian_cases():
+            counts = data.flat.astype(float)
+            setup = MeasurementSetup(obs)
+            search = lh._Search(counts, setup, neg_cap, h)
+            if np.isfinite(search._at(x)[1]):
+                continue
+            infinite += 1
+            objective, _ = _oracle(counts, setup, neg_cap)
+            assert np.array_equal(search.objective_jac(x), _central_grad(objective, x, h))
+            assert search.best is None
+        assert infinite == 3
+
     def test_stack_nll_equals_loop(self):
         rng = np.random.default_rng(5)
         data = simulate_measurements(RHO_A, TOMOGRAPHY_OBSERVABLES, 2, seed=9)
