@@ -104,14 +104,15 @@ class MeasurementSetup:
     """Pauli observables and their stacked eigenprojectors P_p, shape
     (4 * n_observables, 4, 4), row p = 4 * i + j being outcome j of
     observable i. Tr(rho P_p) = [Re rho, Im rho] . [Re P_p, Im P_p]: the
-    probabilities and operators are BLAS products with C-contiguous copies of
-    these real rows, one (32, 4) block per observable and one
-    (4 * n_observables, 32) array. A row of a stack gets the bits of one call."""
+    probabilities are BLAS products with one (32, 4) block of these real rows
+    per observable, the operators with the real forms [[Re, -Im], [Im, Re]]
+    of the P_p as one (4 * n_observables, 64) array, all C-contiguous. A row
+    of a stack gets the bits of one call."""
 
     observables: tuple
     projectors: np.ndarray = field(init=False, repr=False, compare=False)
     _blocks: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _forms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.observables)
@@ -121,19 +122,30 @@ class MeasurementSetup:
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "_blocks", np.ascontiguousarray(
             rows.reshape(len(obs), 4, 32).swapaxes(1, 2)))
-        object.__setattr__(self, "_rows", rows)
+        left = rows.reshape(-1, 8, 4)  # [Re P_p; Im P_p], the left half of each form
+        object.__setattr__(self, "_forms", np.concatenate(
+            (left, np.concatenate((-left[:, 4:], left[:, :4]), 1)), 2).reshape(-1, 64))
 
     def probabilities(self, rho) -> np.ndarray:
         """Tr(rho P_p) of one state or a stack of shape (..., 4, 4), by p."""
-        x = _real_coordinates(rho)
+        return self._coordinate_probabilities(_real_coordinates(rho))
+
+    def _coordinate_probabilities(self, x: np.ndarray) -> np.ndarray:
+        """Tr(rho P_p) from [Re rho, Im rho] coordinates of shape (..., 32)."""
         y = _matmul_rows(x.reshape(-1, 32), self._blocks)
-        return y.swapaxes(0, 1).reshape(x.shape[:-1] + (len(self._rows),))
+        return y.swapaxes(0, 1).reshape(x.shape[:-1] + (len(self.projectors),))
 
     def operator(self, weights) -> np.ndarray:
         """sum_p w_p P_p, a 4x4 matrix per row of real weights w."""
+        r = self._real_operator(weights)
+        return r[..., :4, :4] + 1j * r[..., 4:, :4]
+
+    def _real_operator(self, weights) -> np.ndarray:
+        """The real form [[Re O, -Im O], [Im O, Re O]] of O = sum_p w_p P_p, an
+        8x8 matrix per row of w: O -> its real form is an algebra homomorphism."""
         w = np.asarray(weights)
-        y = _matmul_rows(w.reshape(-1, w.shape[-1]), self._rows)
-        return (y[:, :16] + 1j * y[:, 16:]).reshape(w.shape[:-1] + (4, 4))
+        y = _matmul_rows(w.reshape(-1, w.shape[-1]), self._forms)
+        return y.reshape(w.shape[:-1] + (8, 8))
 
 
 def _matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -38,9 +38,9 @@ def _count_rows(n, setup: MeasurementSetup):
 
 
 def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
-    """R of each state in a (trials, 4, 4) stack against its row of counts.
-    A counted outcome with probability <= 0 raises; an uncounted one weighs 0."""
-    probs = setup.probabilities(rho)
+    """Real form of R for each real form in a (trials, 8, 8) stack against its
+    row of counts. A counted outcome with probability <= 0 raises."""
+    probs = setup._coordinate_probabilities(rho[:, :, :4].reshape(-1, 32))
     if probs.min() <= 0.0:
         dead = np.argwhere((counts > 0) & (probs <= 0.0))
         if len(dead):
@@ -48,24 +48,26 @@ def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
             raise ZeroDivisionError(
                 f"trial {t}: projector {i} (observable {setup.observables[i // 4]}, "
                 f"outcome {i % 4}) has zero probability but {int(counts[t, i])} counts")
-    return setup.operator(counts / (total[:, None] * np.maximum(probs, 1e-300)))
+    return setup._real_operator(counts / (total[:, None] * np.maximum(probs, 1e-300)))
 
 
 def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> np.ndarray:
     """Iterate rho <- normalize(R rho R) from the maximally mixed state for a
     fixed number of iterations, no early stopping. A (trials, 4 *
     n_observables) count array gives a (trials, 4, 4) stack, one state per
-    row, all iterated at once, each with the bits of its single-row call."""
+    row, all iterated at once, each with the bits of its single-row call.
+    The iterates are real forms [[A, -B], [B, A]] of rho = A + iB."""
     if not _is_count(iterations):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     counts, total = _count_rows(counts, setup)
-    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (len(counts), 4, 4)).copy()
+    rho = np.broadcast_to(np.eye(8) / 4, (len(counts), 8, 8)).copy()
     for _ in range(iterations):
         R = _r_stack(rho, counts, total, setup)
         rho = R @ rho @ R
-        rho /= np.einsum("bii->b", rho).real[:, None, None]
-        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    return rho
+        rho = rho + rho.swapaxes(-1, -2)
+        rho *= (2 / np.einsum("bii->b", rho))[:, None, None]
+    im = rho[:, 4:, :4]
+    return rho[:, :4, :4] + 0.5j * (im - im.swapaxes(-1, -2))
 
 
 def _check_total(total_shots: int) -> int:

@@ -27,9 +27,36 @@ def uniform_data(shots_per_obs: int) -> DataVector:
 
 def r_stack(rho, counts, setup=SETUP):
     """R of each state in a stack against its row of a (trials, 4 *
-    n_observables) count array, as the MLE checks and computes it."""
+    n_observables) count array, as the MLE checks and computes it on the
+    real forms of the states, read back as complex 4x4 matrices."""
     counts, total = tomography._count_rows(counts, setup)
-    return tomography._r_stack(np.reshape(rho, (-1, 4, 4)), counts, total, setup)
+    a, b = np.reshape(rho, (-1, 4, 4)).real, np.reshape(rho, (-1, 4, 4)).imag
+    r = tomography._r_stack(np.block([[a, -b], [b, a]]), counts, total, setup)
+    return r[:, :4, :4] + 1j * r[:, 4:, :4]
+
+
+def complex_rrr(counts, iterations, setup=SETUP):
+    """The fixed-point MLE in plain complex 4x4 arithmetic, as it was computed
+    before the real forms: Born rule and R as sums over the projectors."""
+    counts = np.asarray(counts, dtype=float)
+    freq = counts / counts.sum(axis=1)[:, None]
+    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (len(counts), 4, 4)).copy()
+    for _ in range(iterations):
+        probs = np.einsum("bij,pji->bp", rho, setup.projectors).real
+        R = np.einsum("bp,pij->bij", freq / probs, setup.projectors)
+        rho = R @ rho @ R
+        rho /= np.einsum("bii->b", rho).real[:, None, None]
+        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return rho
+
+
+def hypothesis_counts(per_observable, trials, seed=0, tag=99):
+    """Tomography counts of the alternative and the null state at 350 um,
+    gamma 0.3 and the optimal W1 time, as the exceedance test draws them."""
+    tau = optimal_fall_time(P350).tau
+    return [tomography._tomo_counts(spin_state(P350.with_hypothesis(alt), tau),
+                                    per_observable, seed, tag, trials)
+            for alt in (True, False)]
 
 
 class TestSetup:
@@ -87,6 +114,15 @@ class TestROperator:
             r_stack(rho, counts.reshape(1, 36))
 
 
+@pytest.fixture(scope="module")
+def single_rows():
+    """500 count rows of 9 to 9,000 shots, and the state of each row's
+    one-row call."""
+    counts = np.concatenate([c for n in (1, 10, 100, 1000)
+                             for c in hypothesis_counts(n, 63, seed=1)])[:500]
+    return counts, np.concatenate([mle_reconstruct(c[None], SETUP) for c in counts])
+
+
 class TestMLE:
     def test_uniform_data_fixed_point(self):
         rho = mle_reconstruct(uniform_data(40).flat[None], SETUP)[0]
@@ -133,6 +169,44 @@ class TestMLE:
         assert stack.shape == (40, 4, 4)
         for d, rho in zip(data, stack):
             assert np.array_equal(rho, mle_reconstruct(d.flat[None], SETUP)[0])
+
+    def test_real_forms_agree_with_complex_arithmetic(self):
+        # 9- and 90-shot rows have zero-count cells by chance; in the
+        # 9,000-shot rows one cell per row is set to zero
+        rows = [c for n in (1, 10, 1000) for c in hypothesis_counts(n, 20)]
+        rows[-2:] = [c.copy() for c in rows[-2:]]
+        for c in rows[-2:]:
+            c[np.arange(20), np.arange(20)] = 0
+        counts = np.concatenate(rows)
+        assert (counts == 0).any(axis=1).all()
+        for iterations in (1, 10, 100):
+            rho = mle_reconstruct(counts, SETUP, iterations=iterations)
+            assert np.abs(rho - complex_rrr(counts, iterations)).max() <= 1e-13
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 500])
+    def test_stack_of_any_size_keeps_single_call_bits(self, size, single_rows):
+        counts, singles = single_rows
+        stack = mle_reconstruct(counts[:size], SETUP)
+        assert stack.tobytes() == singles[:size].tobytes()
+
+    def test_log_likelihood_never_falls_between_iterates(self, monkeypatch):
+        # every iterate is recorded as the MLE passes it to _r_stack, plus
+        # the returned state: 101 states per trial, 200 trials per cell
+        counts = np.concatenate([c for n in (1, 10, 100, 1000)
+                                 for c in hypothesis_counts(n, 200, seed=3)])
+        forms = []
+        r_stack_of = tomography._r_stack
+        monkeypatch.setattr(tomography, "_r_stack", lambda rho, *args:
+                            forms.append(rho) or r_stack_of(rho, *args))
+        last = mle_reconstruct(counts, SETUP)
+        assert len(forms) == 100
+        probs = [SETUP.probabilities(f[:, :4, :4] + 1j * f[:, 4:, :4]) for f in forms]
+        probs.append(SETUP.probabilities(last))
+        loglik = np.array([np.sum(counts * np.log(np.where(counts > 0, p, 1.0)), axis=1)
+                           for p in probs])
+        # rounding tolerance: 64 ulps of the log-likelihood
+        tol = 64 * np.finfo(float).eps * np.abs(loglik[1:])
+        assert np.all(np.diff(loglik, axis=0) >= -tol)
 
     def test_counted_zero_probability_in_one_trial_raises_naming_it(self):
         # ZZ outcome 2 (|10>) can never be seen when every other trial is
