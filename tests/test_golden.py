@@ -46,7 +46,7 @@ GOLDEN = {
     },
     "loophole": {
         "loophole.json":
-            "9d3fd838761625ac11a085992f06d22e36c618290b9829a4618046cb5850e352",
+            "4c12a378e2473e81b455da3d2b8bc4cebca10b05ae4e11c32fdde5ed9d249dbe",
     },
     "pea": {
         "pea.csv":
@@ -78,9 +78,9 @@ GOLDEN = {
     },
     "tomo": {
         "tomo_batch_alt.csv":
-            "e46a97cd1d3358f79dfcd583adbd234308a87af2337af597ba459ef437f94a94",
+            "79180d9b119b45d79d6157c6a1b268dbbbddfcbc886ec4b45a3c49138c5c3502",
         "tomo_batch_null.csv":
-            "fc5b8d4f9c1f7a092494a081ed51f46285a3c1c403774b29ec162d96e984156e",
+            "93c8bd8d3f8ac6eae3d31fd58920660faa6e8c389c81f7b8b763c49deb93704f",
         "tomo_exceedance.csv":
             "d4895b7d4690b2c38604232981d5f299199f652a836e93b524276366e9598f97",
     },
