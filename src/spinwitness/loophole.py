@@ -90,17 +90,16 @@ class InfeasibleSearchError(RuntimeError):
     """No feasible point found across restarts."""
 
 
-def _nll(rho: np.ndarray, counts: np.ndarray, setup: MeasurementSetup):
-    """-sum n_i log Tr(rho P_i) for one state (a float) or a stack (an array).
-    Each row is summed from a C-contiguous (stack, counted outcomes) array,
-    so a stack gives the bits of one call per state."""
-    stack = np.asarray(rho).reshape(-1, 4, 4)
+def _nll(probs: np.ndarray, counts: np.ndarray):
+    """-sum n_i log p_i for one row of outcome probabilities (a float) or a
+    stack of rows (an array). Each row is summed from a C-contiguous (stack,
+    counted outcomes) array, so a stack gives the bits of one call per row."""
     active = counts > 0
-    probs = np.ascontiguousarray(setup.probabilities(stack)[:, active])
+    p = np.ascontiguousarray(probs.reshape(-1, probs.shape[-1])[:, active])
     with np.errstate(divide="ignore", invalid="ignore"):
-        nll = -np.sum(counts[active] * np.log(probs), axis=-1)
-    nll[np.any(probs <= 0.0, axis=-1)] = math.inf
-    return float(nll[0]) if np.ndim(rho) == 2 else nll.reshape(np.shape(rho)[:-2])
+        nll = -np.sum(counts[active] * np.log(p), axis=-1)
+    nll[np.any(p <= 0.0, axis=-1)] = math.inf
+    return float(nll[0]) if probs.ndim == 1 else nll.reshape(probs.shape[:-1])
 
 
 def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
@@ -110,7 +109,7 @@ def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
     Counts of another width than the observables' outcomes raise ValueError."""
     setup = MeasurementSetup(observables)
     counts, _ = _count_rows(n.flat[None], setup)
-    return _nll(rho, counts[0], setup)
+    return _nll(setup.probabilities(rho), counts[0])
 
 
 class _Search:
@@ -118,8 +117,8 @@ class _Search:
     and their exact Jacobians) and the incumbent: the best feasible point at
     which the objective was evaluated. SLSQP asks for the objective and
     constraint, and for both Jacobians, at the same x (updated in place, so
-    keyed by its bytes): the state at x and its Cholesky factor with the
-    factor's derivatives are built once."""
+    keyed by its bytes): the state at x, its outcome probabilities and its
+    Cholesky factor with the factor's derivatives are built once."""
 
     def __init__(self, counts: np.ndarray, setup: MeasurementSetup, neg_cap: float,
                  h: float):
@@ -128,11 +127,12 @@ class _Search:
         self._state = self._factor = (None, None)  # (key, value)
 
     def _at(self, x: np.ndarray):
-        """(state, NLL, negativity) at x."""
+        """(state, NLL, negativity, outcome probabilities) at x."""
         key = x.tobytes()
         if self._state[0] != key:
             rho = cholesky_to_state(np.frombuffer(key))
-            self._state = key, (rho, _nll(rho, self.counts, self.setup), negativity(rho))
+            probs = self.setup.probabilities(rho)
+            self._state = key, (rho, _nll(probs, self.counts), negativity(rho), probs)
         return self._state[1]
 
     def _gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -155,7 +155,7 @@ class _Search:
             self.best = (float(fx), float(ng), x.copy())
 
     def objective(self, x: np.ndarray) -> float:
-        _, fx, neg = self._at(x)
+        _, fx, neg, _ = self._at(x)
         self.consider(x, fx, neg)
         return fx if np.isfinite(fx) else 1e300
 
@@ -167,14 +167,13 @@ class _Search:
         counted outcomes. Where a counted outcome has zero probability (an
         infinite NLL) it is the central difference of the objective with
         step h instead; its probes are not offered to the incumbent."""
-        rho, fx, _ = self._at(x)
+        _, fx, _, probs = self._at(x)
         if np.isfinite(fx):
-            probs = self.setup.probabilities(rho)
-            active = self.counts > 0
-            weights = np.divide(self.counts, probs, out=np.zeros_like(probs), where=active)
+            weights = np.divide(self.counts, probs, out=np.zeros_like(probs), where=self.counts > 0)
             return -self._gradient(x, self.setup.operator(weights))
         steps = self.h * np.eye(x.size)
-        f = _nll(cholesky_to_state(np.stack((x + steps, x - steps))), self.counts, self.setup)
+        states = cholesky_to_state(np.stack((x + steps, x - steps)))
+        f = _nll(self.setup.probabilities(states), self.counts)
         f = np.where(np.isfinite(f), f, 1e300)
         return (f[0] - f[1]) / (2 * self.h)
 
