@@ -104,10 +104,9 @@ class MeasurementSetup:
     """Pauli observables and their stacked eigenprojectors P_p, shape
     (4 * n_observables, 4, 4), row p = 4 * i + j being outcome j of
     observable i. Tr(rho P_p) = [Re rho, Im rho] . [Re P_p, Im P_p]: the
-    probabilities are BLAS products with one (32, 4) block of these real rows
-    per observable, the operators with the real forms [[Re, -Im], [Im, Re]]
-    of the P_p as one (4 * n_observables, 64) array, all C-contiguous. A row
-    of a stack gets the bits of one call."""
+    probabilities are BLAS products with one (32, 4) block of these rows per
+    observable, operators with the P_p's real forms [[Re, -Im], [Im, Re]] as
+    one C-contiguous (4 * n_observables, 64) array. Stack rows keep their bits."""
 
     observables: tuple
     projectors: np.ndarray = field(init=False, repr=False, compare=False)
@@ -122,9 +121,8 @@ class MeasurementSetup:
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "_blocks", np.ascontiguousarray(
             rows.reshape(len(obs), 4, 32).swapaxes(1, 2)))
-        left = rows.reshape(-1, 8, 4)  # [Re P_p; Im P_p], the left half of each form
-        object.__setattr__(self, "_forms", np.concatenate(
-            (left, np.concatenate((-left[:, 4:], left[:, :4]), 1)), 2).reshape(-1, 64))
+        re, im = rows.reshape(-1, 2, 4, 4).swapaxes(0, 1)
+        object.__setattr__(self, "_forms", np.block([[re, -im], [im, re]]).reshape(-1, 64))
 
     def probabilities(self, rho) -> np.ndarray:
         """Tr(rho P_p) of one state or a stack of shape (..., 4, 4), by p."""
@@ -141,8 +139,7 @@ class MeasurementSetup:
         return r[..., :4, :4] + 1j * r[..., 4:, :4]
 
     def _real_operator(self, weights) -> np.ndarray:
-        """The real form [[Re O, -Im O], [Im O, Re O]] of O = sum_p w_p P_p, an
-        8x8 matrix per row of w: O -> its real form is an algebra homomorphism."""
+        """Real form [[Re O, -Im O], [Im O, Re O]] of O = sum_p w_p P_p per row of w."""
         w = np.asarray(weights)
         y = _matmul_rows(w.reshape(-1, w.shape[-1]), self._forms)
         return y.reshape(w.shape[:-1] + (8, 8))

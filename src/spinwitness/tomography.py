@@ -38,8 +38,8 @@ def _count_rows(n, setup: MeasurementSetup):
 
 
 def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
-    """Real form of R for each real form in a (trials, 8, 8) stack against its
-    row of counts. A counted outcome with probability <= 0 raises."""
+    """Real form of R per real-form state of a (trials, 8, 8) stack, against its
+    row of counts. A counted outcome with probability <= 0 raises; an uncounted one weighs 0."""
     probs = setup._coordinate_probabilities(rho[:, :, :4].reshape(-1, 32))
     if probs.min() <= 0.0:
         dead = np.argwhere((counts > 0) & (probs <= 0.0))
@@ -64,10 +64,9 @@ def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> n
     for _ in range(iterations):
         R = _r_stack(rho, counts, total, setup)
         rho = R @ rho @ R
-        rho = rho + rho.swapaxes(-1, -2)
-        rho *= (2 / np.einsum("bii->b", rho))[:, None, None]
-    im = rho[:, 4:, :4]
-    return rho[:, :4, :4] + 0.5j * (im - im.swapaxes(-1, -2))
+        rho = rho + rho.swapaxes(-1, -2)  # twice the symmetric part
+        rho *= (2 / np.einsum("bii->b", rho))[:, None, None]  # Tr rho = half the 8x8 trace
+    return rho[:, :4, :4] + 0.5j * (rho[:, 4:, :4] - rho[:, :4, 4:])  # exactly Hermitian
 
 
 def _check_total(total_shots: int) -> int:

@@ -279,6 +279,22 @@ class TestMeasurementSetup:
             direct = sum(w * P for w, P in zip(weights[idx], setup.projectors))
             assert np.abs(ops[idx] - direct).max() <= 1e-15
 
+    def test_real_operator_is_the_real_form_of_the_operator(self, rng):
+        # [[Re O, -Im O], [Im O, Re O]] exactly, and products of forms are
+        # the forms of products: the MLE iterates on these
+        setup = MeasurementSetup(TOMO)
+        weights = rng.dirichlet(np.ones(36), size=6)
+        forms, ops = setup._real_operator(weights), setup.operator(weights)
+        assert forms.shape == (6, 8, 8)
+        for block, part in (((slice(None, 4), slice(None, 4)), ops.real),
+                            ((slice(4, None), slice(4, None)), ops.real),
+                            ((slice(4, None), slice(None, 4)), ops.imag),
+                            ((slice(None, 4), slice(4, None)), -ops.imag)):
+            assert np.array_equal(forms[(...,) + block], part)
+        prod, form_prod = ops[:3] @ ops[3:], forms[:3] @ forms[3:]
+        assert np.abs(form_prod[:, :4, :4] - prod.real).max() <= 1e-15
+        assert np.abs(form_prod[:, 4:, :4] - prod.imag).max() <= 1e-15
+
     @pytest.mark.parametrize("obs", [
         TOMO, W1_OBSERVABLES,
         (("X", "Z"), ("Y", "Y"), ("Z", "X"), ("X", "X"), ("Z", "Y"))])
