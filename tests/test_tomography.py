@@ -36,8 +36,8 @@ def r_stack(rho, counts, setup=SETUP):
 
 
 def complex_rrr(counts, iterations, setup=SETUP):
-    """The fixed-point MLE in plain complex 4x4 arithmetic, as it was computed
-    before the real forms: Born rule and R as sums over the projectors."""
+    """The fixed-point MLE in plain complex 4x4 arithmetic: the Born rule and
+    R as sums over the projectors, and R rho R as complex products."""
     counts = np.asarray(counts, dtype=float)
     freq = counts / counts.sum(axis=1)[:, None]
     rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (len(counts), 4, 4)).copy()
@@ -174,7 +174,6 @@ class TestMLE:
         # 9- and 90-shot rows have zero-count cells by chance; in the
         # 9,000-shot rows one cell per row is set to zero
         rows = [c for n in (1, 10, 1000) for c in hypothesis_counts(n, 20)]
-        rows[-2:] = [c.copy() for c in rows[-2:]]
         for c in rows[-2:]:
             c[np.arange(20), np.arange(20)] = 0
         counts = np.concatenate(rows)
