@@ -9,10 +9,10 @@ from .model import (ScenarioParams, branch_separations, characteristic_time,
 from .qstate import (MeasurementSetup, check_density_matrix, cholesky_to_state,
                      eigenbasis, expectation, fidelity, negativity,
                      partial_transpose, pauli_tensor)
-from .stats import (DataVector, DifferentialReport, ProbabilityVector,
-                    SuccessRateReport, differential_success_rate,
-                    distinction_success_rate, lambda_min, log_likelihood_ratio,
-                    match_alpha, outcome_probabilities, simulate_measurements,
+from .stats import (DifferentialReport, ProbabilityVector, SuccessRateReport,
+                    differential_success_rate, distinction_success_rate,
+                    lambda_min, log_likelihood_ratio, match_alpha,
+                    outcome_probabilities, simulate_measurements,
                     witness_negative_probability)
 from .tomography import mle_reconstruct, negativity_exceedance
 from .loophole import (KNOWN_LOOPHOLE_STATE, LoopholeResult,

@@ -12,8 +12,8 @@ from scipy.optimize import minimize
 from .qstate import (_L_COLS, _L_ROWS, MeasurementSetup, _cholesky_factor,
                      check_density_matrix, cholesky_to_state, negativity,
                      partial_transpose, state_to_cholesky_angles)
-from .stats import DataVector, _is_count, trial_rng
-from .tomography import _count_rows, mle_reconstruct
+from .stats import _count_rows, _is_count, trial_rng
+from .tomography import mle_reconstruct
 from .witnesses import W1_OBSERVABLES
 
 __all__ = [
@@ -63,26 +63,26 @@ class OptimizationConfig:
 class RestartRecord:
     """One SLSQP run of a search: its ``start`` ("mle" or "random"), and
     SLSQP's ``status``, ``nit``, ``nfev`` and final ``fun``, which are None
-    when the run raised."""
+    when the run raised; ``error`` is then the ``repr`` of the exception,
+    and None otherwise."""
 
     start: str
     status: int | None
     nit: int | None
     nfev: int | None
     fun: float | None
+    error: str | None
 
 
 @dataclass(frozen=True)
 class LoopholeResult:
     """Best feasible state found: its fit to the data and its entanglement,
-    plus ``(restart index, repr(exception))`` for each restart that raised
-    and one ``RestartRecord`` per restart, in restart order."""
+    plus one ``RestartRecord`` per restart, in restart order."""
 
     state: np.ndarray
     nll: float
     negativity: float
     constraint_satisfied: bool
-    restart_errors: tuple = ()
     restarts: tuple = ()
 
 
@@ -102,14 +102,13 @@ def _nll(probs: np.ndarray, counts: np.ndarray):
     return float(nll[0]) if probs.ndim == 1 else nll.reshape(probs.shape[:-1])
 
 
-def state_neg_log_likelihood(rho: np.ndarray, n: DataVector, observables):
-    """-sum n_i log Tr(rho P_i); +inf when a counted outcome has zero
-    probability (an infinitely bad fit the optimizer can move away from).
-    A float for one state, an array for a stack of shape (..., 4, 4).
-    Counts of another width than the observables' outcomes raise ValueError."""
+def state_neg_log_likelihood(rho: np.ndarray, n, observables):
+    """-sum n_i log Tr(rho P_i) for a count row n; +inf when a counted
+    outcome has zero probability (an infinitely bad fit the optimizer can
+    move away from). A float for one state, an array for a stack of shape
+    (..., 4, 4)."""
     setup = MeasurementSetup(observables)
-    counts, _ = _count_rows(n.flat[None], setup)
-    return _nll(setup.probabilities(rho), counts[0])
+    return _nll(setup.probabilities(rho), _count_rows([n], len(setup.projectors))[0])
 
 
 class _Search:
@@ -145,14 +144,12 @@ class _Search:
         return 2 * (dl @ (L.conj().T @ weights)[_L_COLS, _L_ROWS]).real
 
     def consider(self, x: np.ndarray, fx: float, neg: float) -> None:
-        gap = self.neg_cap - neg
-        if gap < -1e-9 or not np.isfinite(fx):
+        if self.neg_cap - neg < -1e-9 or not np.isfinite(fx):
             return
-        ng = self.neg_cap - gap
         best = self.best
         if best is None or fx < best[0] - 1e-12 or \
-                (abs(fx - best[0]) <= 1e-12 and ng < best[1]):
-            self.best = (float(fx), float(ng), x.copy())
+                (abs(fx - best[0]) <= 1e-12 and neg < best[1]):
+            self.best = (float(fx), float(neg), x.copy())
 
     def objective(self, x: np.ndarray) -> float:
         _, fx, neg, _ = self._at(x)
@@ -186,31 +183,32 @@ class _Search:
         return self._gradient(x, partial_transpose(v @ v.conj().T))
 
 
-def find_loophole_state(n: DataVector, rho_null: np.ndarray,
+def find_loophole_state(n, rho_null: np.ndarray,
                         cfg: OptimizationConfig = OptimizationConfig(),
                         seed: int = 0, observables=W1_OBSERVABLES) -> LoopholeResult:
-    """Minimize the negative log-likelihood over the 15 Cholesky angles
-    subject to negativity(state) <= negativity(rho_null) - margin.
+    """Minimize the negative log-likelihood of the count row n over the 15
+    Cholesky angles subject to negativity(state) <= negativity(rho_null) - margin.
 
     Multi-start: the fixed-point MLE of the data seeds the first restart, the
     rest start from uniform random angles. The incumbent is the best feasible
     point at which the objective was evaluated, so accepted improvements are
-    monotone. Ties in likelihood break toward lower negativity. A restart
-    whose SLSQP run raises is recorded in ``restart_errors``; every restart
-    has its ``RestartRecord`` in ``restarts``.
+    monotone. Ties in likelihood break toward lower negativity. Every
+    restart has its ``RestartRecord`` in ``restarts``; a restart whose SLSQP
+    run raised records the exception's ``repr`` as its ``error``.
     """
     if not _is_count(seed, 0):  # trial_rng would run int(seed)'s starts
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     setup = MeasurementSetup(observables)
     neg_cap = negativity(rho_null) - cfg.constraint_margin
-    search = _Search(n.flat.astype(float), setup, neg_cap, cfg.gradient_step)
+    counts = _count_rows([n], len(setup.projectors))
+    search = _Search(counts[0], setup, neg_cap, cfg.gradient_step)
 
-    starts = [state_to_cholesky_angles(mle_reconstruct(n.flat[None], setup)[0])]
+    starts = [state_to_cholesky_angles(mle_reconstruct(counts, setup)[0])]
     for r in range(cfg.restarts - 1):
         rng = trial_rng(seed, (_TAG_RESTART,), r)
         starts.append(rng.uniform(0.0, np.pi, 15))
 
-    errors, records = [], []
+    records = []
     for r, x0 in enumerate(starts):
         search.objective(x0)  # offers x0 to the incumbent
         start = "random" if r else "mle"
@@ -221,22 +219,22 @@ def find_loophole_state(n: DataVector, rho_null: np.ndarray,
                                          "jac": search.constraint_jac}],
                            options={"maxiter": cfg.max_iterations, "ftol": 1e-10})
         except (ValueError, ZeroDivisionError) as exc:
-            errors.append((r, repr(exc)))
-            records.append(RestartRecord(start, None, None, None, None))
+            records.append(RestartRecord(start, None, None, None, None, repr(exc)))
         else:
             records.append(RestartRecord(start, int(res.status), int(res.nit),
-                                         int(res.nfev), float(res.fun)))
+                                         int(res.nfev), float(res.fun), None))
 
     if search.best is None:
         raise InfeasibleSearchError(
             f"no feasible state found in {cfg.restarts} restarts: constraint "
             f"negativity <= {neg_cap:.6g} (null {negativity(rho_null):.6g}, "
-            f"margin {cfg.constraint_margin:g}); {len(errors)} restarts raised")
+            f"margin {cfg.constraint_margin:g}); "
+            f"{sum(r.error is not None for r in records)} restarts raised")
 
     nll, neg, angles = search.best
     return LoopholeResult(state=cholesky_to_state(angles), nll=nll,
                           negativity=neg, constraint_satisfied=True,
-                          restart_errors=tuple(errors), restarts=tuple(records))
+                          restarts=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,7 @@ def _reference_state_ok() -> bool:
 
 
 def verify_loophole(result: LoopholeResult, rho_a: np.ndarray,
-                    rho_null: np.ndarray, n: DataVector,
+                    rho_null: np.ndarray, n,
                     observables=W1_OBSERVABLES) -> LoopholeVerification:
     neg_null = negativity(rho_null)
     neg_res = negativity(result.state)

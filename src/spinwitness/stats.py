@@ -27,7 +27,6 @@ from .witnesses import W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_
 
 __all__ = [
     "ProbabilityVector",
-    "DataVector",
     "SuccessRateReport",
     "DifferentialReport",
     "outcome_probabilities",
@@ -99,6 +98,26 @@ def _is_count(n, least: int = 1) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
+def _count_rows(n, width: int) -> np.ndarray:
+    """A (trials, width) stack of count rows as floats, each row in count-row
+    order (p = 4 i + j: outcome j of observable i). The one check of counts:
+    another shape, a bool or non-numeric dtype, an entry that is not a finite
+    whole number >= 0, or a row that sums to zero raises ValueError."""
+    counts = np.asarray(n)
+    if counts.ndim != 2 or counts.shape[1] != width:
+        raise ValueError(f"expected counts of shape (trials, {width}), got {counts.shape}")
+    if counts.dtype.kind not in "iuf":
+        raise ValueError(f"counts must be integers or whole floats, got {counts.dtype}")
+    counts = counts.astype(float)
+    bad = ~(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts)))
+    if bad.any():
+        raise ValueError(f"counts must be finite whole numbers >= 0, got {counts[bad][0]}")
+    total = counts.sum(axis=1)
+    if not total.all():
+        raise ValueError(f"trial {np.flatnonzero(total == 0)[0]}: count row sums to zero")
+    return counts
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("significance level must lie in (0, 1)")
@@ -130,37 +149,6 @@ class ProbabilityVector:
         return self.probs.reshape(-1)
 
 
-@dataclass(frozen=True)
-class DataVector:
-    """Outcome counts with a fixed shot count per observable."""
-
-    counts: np.ndarray
-    shots_per_observable: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu" or not _is_count(self.shots_per_observable):
-            raise ValueError(f"counts must be an integer array and shots_per_observable an "
-                             f"integer >= 1, got {counts.dtype} counts and "
-                             f"{self.shots_per_observable!r} shots")
-        counts = counts.astype(np.int64)
-        if counts.ndim != 2 or counts.shape[1] != 4:
-            raise ValueError("counts must have shape (n_observables, 4)")
-        if counts.min() < 0:
-            raise ValueError("counts must be non-negative")
-        if np.any(counts.sum(axis=1) != self.shots_per_observable):
-            raise ValueError("each block of counts must sum to shots_per_observable")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.counts.reshape(-1)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
     """p[i, j] = Tr(rho |e_ij><e_ij|) over each observable's eigenprojectors."""
     setup = MeasurementSetup(observables)
@@ -186,34 +174,28 @@ def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) ->
     return out
 
 
-def simulate_measurements(rho: np.ndarray, observables, N: int, seed: int) -> DataVector:
-    """One multinomial draw of N outcomes per observable; deterministic in seed."""
+def simulate_measurements(rho: np.ndarray, observables, N: int, seed: int) -> np.ndarray:
+    """One multinomial draw of N outcomes per observable, as an int64 count
+    row; deterministic in seed."""
     pv = outcome_probabilities(rho, observables)
-    counts = _draw_counts(pv, N, seed, (_TAG_SIMULATE,), 1)[0]
-    return DataVector(counts, N)
+    return _draw_counts(pv, N, seed, (_TAG_SIMULATE,), 1).reshape(-1)
 
 
-def log_likelihood_ratio(n: DataVector, p_a: ProbabilityVector,
-                         p_0: ProbabilityVector) -> float:
-    """lambda = 2 sum n_ij (log p_a,ij - log p_0,ij).
+def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector):
+    """lambda = 2 sum n_p (log p_a,p - log p_0,p) of a count row (a float) or
+    of each row of a (trials, 4 * n_obs) stack (an array). Each row is summed
+    on its own, so it has the bits of its single-row call wherever it sits in
+    the stack (a BLAS matrix-vector product rounds the last
+    stack-size-mod-4 rows differently).
 
     Data that are impossible under exactly one hypothesis (an observed
-    outcome of probability 0) are infinite evidence: returns +inf
-    (impossible under the null) or -inf (impossible under the alternative).
-    Data impossible under both raise, whether one outcome or two make them so.
+    outcome of probability 0) are infinite evidence: +inf (impossible under
+    the null) or -inf (impossible under the alternative). Data impossible
+    under both raise, whether one outcome or two make them so.
     """
-    return float(_lambda_batch(n.counts[None], p_a, p_0)[0])
-
-
-def _lambda_batch(counts: np.ndarray, p_a: ProbabilityVector,
-                  p_0: ProbabilityVector) -> np.ndarray:
-    """Vectorized lambda over (trials, n_obs, 4) counts, with the same
-    infinite-evidence signaling as :func:`log_likelihood_ratio`. Each row is
-    summed on its own, so it has the bits of its single-row call wherever it
-    sits in the batch (a BLAS matrix-vector product rounds the last
-    batch-size-mod-4 rows differently)."""
-    flat = counts.reshape(counts.shape[0], -1)
     pa, p0 = p_a.flat, p_0.flat
+    counts = np.asarray(counts)
+    flat = _count_rows(np.atleast_2d(counts), pa.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.log(pa) - np.log(p0)
     active = flat > 0
@@ -224,7 +206,7 @@ def _lambda_batch(counts: np.ndarray, p_a: ProbabilityVector,
     out = 2.0 * (flat * np.where(np.isfinite(weight), weight, 0.0)).sum(axis=1)
     out[dead_0] = math.inf
     out[dead_a] = -math.inf
-    return out
+    return float(out[0]) if counts.ndim == 1 else out
 
 
 _lambda_min_cache: dict = {}
@@ -233,7 +215,7 @@ _lambda_min_cache: dict = {}
 def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: float,
                trials: int, seed: int) -> float:
     """Decision threshold: empirical (1-alpha) percentile of lambda over
-    ``trials`` data vectors simulated under the null hypothesis. A process
+    ``trials`` count rows simulated under the null hypothesis. A process
     keeps the last ``_CACHE_SIZE`` distinct thresholds. A NaN percentile,
     interpolated against an infinite lambda, raises RuntimeError uncached."""
     _check_alpha(alpha)
@@ -247,7 +229,7 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
     if key in _lambda_min_cache:
         return _lambda_min_cache[key]
     counts = _draw_counts(p_0, N, seed, (_TAG_NULL, N), trials)
-    lam0 = _lambda_batch(counts, p_a, p_0)
+    lam0 = log_likelihood_ratio(counts.reshape(trials, -1), p_a, p_0)
     with np.errstate(invalid="ignore"):
         value = float(np.percentile(lam0, 100.0 * (1.0 - alpha)))
     if math.isnan(value):
@@ -291,7 +273,7 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     for N in shots_per_observable:
         lmin = lambda_min(p_0, p_a, N, alpha, lambda_trials, seed)
         counts = _draw_counts(p_data, N, seed, (_TAG_ALT, N), trials)
-        lam = _lambda_batch(counts, p_a, p_0)
+        lam = log_likelihood_ratio(counts.reshape(trials, -1), p_a, p_0)
         rates.append(float(np.mean(lam >= lmin)))
         lmins.append(lmin)
     return rates, lmins

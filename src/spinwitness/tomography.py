@@ -7,7 +7,7 @@ import numpy as np
 
 from .model import ScenarioParams, spin_state
 from .qstate import MeasurementSetup, fidelity, negativity
-from .stats import _draw_counts, _is_count, outcome_probabilities
+from .stats import _count_rows, _draw_counts, _is_count, outcome_probabilities
 from .witnesses import optimal_fall_time
 
 __all__ = [
@@ -23,18 +23,6 @@ TOMOGRAPHY_OBSERVABLES = tuple((a, b) for a in "XYZ" for b in "XYZ")
 _TAG_TOMO_NULL = 11
 _TAG_TOMO_ALT = 12
 _TAG_FID = 13
-
-
-def _count_rows(n, setup: MeasurementSetup):
-    """A (trials, 4 * n_observables) count array as floats, and its row totals."""
-    counts = np.asarray(n, dtype=float)
-    if counts.ndim != 2 or counts.shape[1] != len(setup.projectors):
-        raise ValueError(f"expected counts of shape (trials, {len(setup.projectors)}), "
-                         f"got {counts.shape}")
-    total = counts.sum(axis=1)
-    if not total.all():
-        raise ValueError(f"trial {np.flatnonzero(total == 0)[0]}: count row sums to zero")
-    return counts, total
 
 
 def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
@@ -59,7 +47,8 @@ def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> n
     The iterates are real forms [[A, -B], [B, A]] of rho = A + iB."""
     if not _is_count(iterations):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
-    counts, total = _count_rows(counts, setup)
+    counts = _count_rows(counts, len(setup.projectors))
+    total = counts.sum(axis=1)
     rho = np.broadcast_to(np.eye(8) / 4, (len(counts), 8, 8)).copy()
     for _ in range(iterations):
         R = _r_stack(rho, counts, total, setup)

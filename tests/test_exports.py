@@ -39,10 +39,7 @@ SRC = Path(spinwitness.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 #: public callables with no caller in the package, each with its reason
-UNCALLED_API = {
-    "stats.log_likelihood_ratio": "the documented single-row lambda "
-                                  "(README, 'Infinite evidence')",
-}
+UNCALLED_API: dict = {}
 
 
 def referenced(tree, skip=None) -> set:

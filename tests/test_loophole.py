@@ -14,7 +14,7 @@ from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import (MeasurementSetup,
                                 check_density_matrix, cholesky_to_state,
                                 fidelity, negativity, partial_transpose)
-from spinwitness.stats import DataVector, simulate_measurements
+from spinwitness.stats import simulate_measurements
 from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES, mle_reconstruct
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
 
@@ -28,14 +28,13 @@ MIXED_ANGLES = np.array([np.pi / 3, np.arccos(1 / np.sqrt(3)), np.pi / 4,
                          *np.zeros(12)])
 
 
-def witness_data(seed: int, shots: int = 1000) -> DataVector:
+def witness_data(seed: int, shots: int = 1000) -> np.ndarray:
     return simulate_measurements(RHO_A, W1_OBSERVABLES, shots, seed)
 
 
 class TestNegLogLikelihood:
     def test_uniform_data_on_maximally_mixed(self):
-        counts = np.full((3, 4), 25, dtype=np.int64)
-        data = DataVector(counts, 100)
+        data = np.full(12, 25, dtype=np.int64)
         value = state_neg_log_likelihood(cholesky_to_state(MIXED_ANGLES), data,
                                          W1_OBSERVABLES)
         assert value == pytest.approx(300 * np.log(4), rel=1e-12)
@@ -43,8 +42,7 @@ class TestNegLogLikelihood:
     def test_uniform_data_minimized_by_maximally_mixed(self, rng):
         # Gibbs: -sum (N/4) log p_j >= -sum (N/4) log(1/4) per block, with
         # equality only at the uniform distribution
-        counts = np.full((3, 4), 25, dtype=np.int64)
-        data = DataVector(counts, 100)
+        data = np.full(12, 25, dtype=np.int64)
         best = state_neg_log_likelihood(cholesky_to_state(MIXED_ANGLES), data,
                                         W1_OBSERVABLES)
         for _ in range(1000):
@@ -55,8 +53,7 @@ class TestNegLogLikelihood:
 
     def test_impossible_outcome_gives_infinity(self):
         # |00><00| assigns zero probability to the ZZ outcome |01>
-        counts = np.array([[0, 5, 0, 0]], dtype=np.int64)
-        data = DataVector(counts, 5)
+        data = np.array([0, 5, 0, 0], dtype=np.int64)
         rho = cholesky_to_state(np.zeros(15))
         assert state_neg_log_likelihood(rho, data, (("Z", "Z"),)) == np.inf
 
@@ -118,7 +115,7 @@ class TestFindLoopholeState:
         cfg = OptimizationConfig(restarts=4, constraint_margin=0.0)
         result = find_loophole_state(data, bell, cfg, seed=2,
                                      observables=TOMOGRAPHY_OBSERVABLES)
-        mle = mle_reconstruct(data.flat[None], setup)[0]
+        mle = mle_reconstruct(data[None], setup)[0]
         assert fidelity(result.state, mle) >= 0.999
 
     def test_unconstrained_fit_at_least_as_likely_as_fixed_point(self):
@@ -130,7 +127,7 @@ class TestFindLoopholeState:
         cfg = OptimizationConfig(restarts=4, constraint_margin=0.0)
         result = find_loophole_state(data, bell, cfg, seed=2)
 
-        mle = mle_reconstruct(data.flat[None], MeasurementSetup(W1_OBSERVABLES))[0]
+        mle = mle_reconstruct(data[None], MeasurementSetup(W1_OBSERVABLES))[0]
         nll_mle = state_neg_log_likelihood(mle, data, W1_OBSERVABLES)
         assert result.nll <= nll_mle + 1e-6
 
@@ -162,8 +159,8 @@ class TestFindLoopholeState:
         cfg = OptimizationConfig(restarts=3, max_iterations=10)
         result = find_loophole_state(witness_data(seed=6), RHO_0, cfg, seed=6)
         assert calls == [0, 1, 2]
-        assert result.restart_errors == (
-            (1, "ValueError('angles must be finite')"),)
+        assert [r.error for r in result.restarts] == [
+            None, "ValueError('angles must be finite')", None]
 
     def test_one_record_per_restart(self):
         data = witness_data(seed=7)
@@ -173,7 +170,7 @@ class TestFindLoopholeState:
         for record in result.restarts:
             assert record.status in (0, 9)  # converged, or stopped at the cap
             assert 1 <= record.nit <= 20 and record.nfev >= record.nit
-            assert math.isfinite(record.fun)
+            assert math.isfinite(record.fun) and record.error is None
 
     def test_failed_restart_has_an_empty_record(self, monkeypatch):
         real_minimize = lh.minimize
@@ -189,7 +186,8 @@ class TestFindLoopholeState:
         cfg = OptimizationConfig(restarts=2, max_iterations=5)
         result = find_loophole_state(witness_data(seed=6), RHO_0, cfg, seed=6)
         assert result.restarts[0].status is not None
-        assert result.restarts[1] == lh.RestartRecord("random", None, None, None, None)
+        assert result.restarts[1] == lh.RestartRecord(
+            "random", None, None, None, None, "ZeroDivisionError('probability 0')")
 
     def test_config_validation(self):
         for bad in ({"restarts": 0}, {"gradient_step": 0.0}, {"restarts": 1.5},
@@ -295,7 +293,7 @@ class TestAnalyticJacobians:
         neg_cap = negativity(RHO_0) - 1e-4
         finite = 0
         for data, obs, x in _jacobian_cases():
-            counts = data.flat.astype(float)
+            counts = data.astype(float)
             setup = MeasurementSetup(obs)
             objective, constraint = _oracle(counts, setup, neg_cap)
             search = lh._Search(counts, setup, neg_cap, h)
@@ -312,7 +310,7 @@ class TestAnalyticJacobians:
 
     def test_constraint_gradient_is_zero_at_ppt_state(self):
         data = witness_data(seed=0)
-        search = lh._Search(data.flat.astype(float), MeasurementSetup(W1_OBSERVABLES),
+        search = lh._Search(data.astype(float), MeasurementSetup(W1_OBSERVABLES),
                             negativity(RHO_0), 1e-6)
         assert negativity(cholesky_to_state(MIXED_ANGLES)) == 0.0
         assert np.all(search.constraint_jac(MIXED_ANGLES) == 0.0)
@@ -322,8 +320,7 @@ class TestAnalyticJacobians:
         # outcome zero probability: an infinite NLL, where the Jacobian is
         # the central difference of the capped objective and none of its
         # probes is offered to the incumbent
-        data = DataVector(np.array([[3, 5, 0, 0]], dtype=np.int64), 8)
-        counts, setup, x = data.flat.astype(float), MeasurementSetup((("Z", "Z"),)), np.zeros(15)
+        counts, setup, x = np.array([3.0, 5.0, 0.0, 0.0]), MeasurementSetup((("Z", "Z"),)), np.zeros(15)
         objective, _ = _oracle(counts, setup, 1.0)
         search = lh._Search(counts, setup, 1.0, 1e-6)
         assert search.objective(x) == 1e300
@@ -340,7 +337,7 @@ class TestBatchedJacobians:
         neg_cap = negativity(RHO_0) - 1e-4
         infinite = 0
         for data, obs, x in _jacobian_cases():
-            counts = data.flat.astype(float)
+            counts = data.astype(float)
             setup = MeasurementSetup(obs)
             search = lh._Search(counts, setup, neg_cap, h)
             if np.isfinite(search._at(x)[1]):

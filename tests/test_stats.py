@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from spinwitness import loophole, stats, tomography
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import MeasurementSetup, eigenbasis, expectation
-from spinwitness.stats import (DataVector, ProbabilityVector, _lambda_batch,
-                               differential_success_rate,
+from spinwitness.loophole import LoopholeResult, OptimizationConfig
+from spinwitness.stats import (ProbabilityVector, differential_success_rate,
                                distinction_success_rate, lambda_min,
                                log_likelihood_ratio, match_alpha,
                                outcome_probabilities, simulate_measurements,
@@ -124,16 +124,17 @@ class TestTrialRng:
 class TestSimulateMeasurements:
     def test_block_sums(self, rng):
         data = simulate_measurements(random_state(rng), W1_OBSERVABLES, 57, seed=4)
-        assert np.all(data.counts.sum(axis=1) == 57)
-        assert data.total == 3 * 57
+        assert data.shape == (12,) and data.dtype == np.int64
+        assert np.all(data.reshape(3, 4).sum(axis=1) == 57)
+        assert data.sum() == 3 * 57
 
     def test_deterministic_in_seed(self, rng):
         rho = random_state(rng)
         a = simulate_measurements(rho, W1_OBSERVABLES, 100, seed=11)
         b = simulate_measurements(rho, W1_OBSERVABLES, 100, seed=11)
         c = simulate_measurements(rho, W1_OBSERVABLES, 100, seed=12)
-        assert np.array_equal(a.counts, b.counts)
-        assert not np.array_equal(a.counts, c.counts)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [2.5, True, -1])
     def test_fractional_bool_or_negative_seed_raises(self, seed):
@@ -144,24 +145,67 @@ class TestSimulateMeasurements:
     def test_numpy_integer_seed_draws_its_stream(self):
         a = simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 10, seed=np.int64(2))
         b = simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 10, seed=2)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         data = simulate_measurements(np.eye(4) / 4, W1_OBSERVABLES, 100000, seed=3)
-        freqs = data.counts / 100000
+        freqs = data / 100000
         assert np.abs(freqs - 0.25).max() <= 0.01
 
-    def test_data_vector_validation(self):
-        with pytest.raises(ValueError):
-            DataVector(np.array([[1, 2, 3, 5]]), 10)
-        with pytest.raises(ValueError):
-            DataVector(np.array([[-1, 2, 3, 6]]), 10)
-        # fractional or boolean counts used to be truncated or taken as ints
-        for counts, shots in (([[2.5, 2.5, 0, 0]], 5), ([[2.0, 2.0, 0, 0]], 4),
-                              ([[True, False, False, False]], 1),
-                              ([[1, 0, 0, 0]], True)):
-            with pytest.raises(ValueError, match="must be an integer array"):
-                DataVector(counts, shots)
+
+def _bad_count_rows() -> dict:
+    """Count rows of the three W1 observables that no function taking counts
+    may accept, by name."""
+    rows = {}
+    for name, value in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf),
+                        ("fractional", 2.5)):
+        rows[name] = np.full(12, 5.0)
+        rows[name][3] = value
+    rows["negative"] = np.array([-1, 6, 5, 5] * 3)
+    rows["bool"] = np.ones(12, dtype=bool)
+    rows["zero-row"] = np.zeros(12, dtype=np.int64)
+    rows["width"] = np.full(8, 5, dtype=np.int64)
+    return rows
+
+
+BAD_COUNT_ROWS = _bad_count_rows()
+MIXED = np.eye(4) / 4
+BELL = np.zeros((4, 4))
+BELL[np.ix_([0, 3], [0, 3])] = 0.5
+P_MIXED = outcome_probabilities(MIXED, W1_OBSERVABLES)
+
+#: each public function that takes counts, called on one bad count row
+COUNT_TAKERS = {
+    "mle_reconstruct": lambda n: tomography.mle_reconstruct(
+        n[None], MeasurementSetup(W1_OBSERVABLES)),
+    "log_likelihood_ratio": lambda n: log_likelihood_ratio(n, P_MIXED, P_MIXED),
+    "state_neg_log_likelihood": lambda n: loophole.state_neg_log_likelihood(
+        MIXED, n, W1_OBSERVABLES),
+    "find_loophole_state": lambda n: loophole.find_loophole_state(
+        n, BELL, OptimizationConfig(restarts=1)),
+    "verify_loophole": lambda n: loophole.verify_loophole(
+        LoopholeResult(MIXED, 0.0, 0.0, True), BELL, BELL, n),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_COUNT_ROWS.values(), ids=BAD_COUNT_ROWS.keys())
+@pytest.mark.parametrize("call", COUNT_TAKERS.values(), ids=COUNT_TAKERS.keys())
+def test_bad_counts_raise_at_the_boundary(call, bad):
+    # the MLE used to return a NaN state for NaN counts and a valid-looking
+    # one for negative or fractional counts
+    with pytest.raises(ValueError, match="count"):
+        call(bad)
+
+
+def test_whole_float_counts_equal_integer_counts():
+    data = simulate_measurements(BELL, W1_OBSERVABLES, 40, seed=1)
+    p_a = outcome_probabilities(MIXED, W1_OBSERVABLES)
+    p_0 = outcome_probabilities(0.5 * (MIXED + BELL), W1_OBSERVABLES)
+    assert log_likelihood_ratio(data.astype(float), p_a, p_0) == \
+        log_likelihood_ratio(data, p_a, p_0)
+    setup = MeasurementSetup(W1_OBSERVABLES)
+    assert np.array_equal(tomography.mle_reconstruct(data[None].astype(float), setup),
+                          tomography.mle_reconstruct(data[None], setup))
 
 
 class TestMonteCarloSizes:
@@ -201,9 +245,9 @@ class TestLogLikelihoodRatio:
         pa = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
         p0 = pv_from_rows(ZZ, [[0.4, 0.3, 0.2, 0.1]])
         for k in range(4):
-            counts = np.zeros((1, 4), dtype=int)
-            counts[0, k] = 1
-            lam = log_likelihood_ratio(DataVector(counts, 1), pa, p0)
+            counts = np.zeros(4, dtype=int)
+            counts[k] = 1
+            lam = log_likelihood_ratio(counts, pa, p0)
             # direct -2 log of the likelihood quotient Lambda = prod p^n
             direct = -2 * math.log(p0.probs[0, k] / pa.probs[0, k])
             assert lam == pytest.approx(direct, abs=1e-12)
@@ -215,11 +259,10 @@ class TestLogLikelihoodRatio:
         pa = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
         p0 = pv_from_rows(ZZ, [[0.25, 0.25, 0.25, 0.25]])
         for _ in range(20):
-            counts = rng.multinomial(6, pa.probs[0]).reshape(1, 4)
-            data = DataVector(counts, 6)
-            product = np.prod(p0.probs[0] ** counts[0]) / \
-                np.prod(pa.probs[0] ** counts[0])
-            assert log_likelihood_ratio(data, pa, p0) == pytest.approx(
+            counts = rng.multinomial(6, pa.probs[0])
+            product = np.prod(p0.probs[0] ** counts) / \
+                np.prod(pa.probs[0] ** counts)
+            assert log_likelihood_ratio(counts, pa, p0) == pytest.approx(
                 -2 * math.log(product), abs=1e-9)
 
     def test_alternative_data_is_positive_with_high_frequency(self, rng):
@@ -239,14 +282,13 @@ class TestLogLikelihoodRatio:
     def test_infinite_evidence_signaling(self):
         pa = pv_from_rows(ZZ, [[0.25, 0.25, 0.25, 0.25]])
         p0 = pv_from_rows(ZZ, [[1.0, 0.0, 0.0, 0.0]])
-        counts = np.array([[0, 1, 0, 0]])
-        data = DataVector(counts, 1)
+        data = np.array([0, 1, 0, 0])
         assert log_likelihood_ratio(data, pa, p0) == math.inf
         assert log_likelihood_ratio(data, p0, pa) == -math.inf
         with pytest.raises(ValueError):
             log_likelihood_ratio(data, p0, p0)
         # outcome 1 rules out the first hypothesis, outcome 3 the second
-        rules_out_both = DataVector(np.array([[0, 1, 0, 1]]), 2)
+        rules_out_both = np.array([0, 1, 0, 1])
         pb = pv_from_rows(ZZ, [[0.0, 0.0, 0.0, 1.0]])
         pc = pv_from_rows(ZZ, [[0.0, 1.0, 0.0, 0.0]])
         for a, b in ((pb, pc), (pc, pb)):
@@ -254,8 +296,8 @@ class TestLogLikelihoodRatio:
                 log_likelihood_ratio(rules_out_both, a, b)
 
     def test_equals_batch_row_including_infinite_evidence(self, rng):
-        # one function: the scalar is the batch on one row, and each row of a
-        # larger batch has the bits of its single-row call
+        # one function: a row gives the float of a one-row stack, and each row
+        # of a larger stack has the bits of its single-row call
         pa = pv_from_rows(ZZ, [[0.25, 0.25, 0.5, 0.0]])
         p0 = pv_from_rows(ZZ, [[0.5, 0.0, 0.25, 0.25]])
         tau = optimal_fall_time(P450).tau
@@ -264,16 +306,16 @@ class TestLogLikelihoodRatio:
         p_0 = outcome_probabilities(spin_state(P450.with_hypothesis(False), tau),
                                     W1_OBSERVABLES)
         draws = np.array([rng.multinomial(40, block) for _ in range(30)
-                          for block in p_a.probs]).reshape(30, 3, 4)
-        cases = [(np.array([[[3, 0, 2, 0]], [[1, 4, 0, 0]], [[0, 0, 1, 4]],
-                            [[2, 0, 3, 0]]]), pa, p0), (draws, p_a, p_0)]
+                          for block in p_a.probs]).reshape(30, 12)
+        cases = [(np.array([[3, 0, 2, 0], [1, 4, 0, 0], [0, 0, 1, 4],
+                            [2, 0, 3, 0]]), pa, p0), (draws, p_a, p_0)]
         for counts, a, b in cases:
-            batch = _lambda_batch(counts, a, b)
+            batch = log_likelihood_ratio(counts, a, b)
             for row, lam in zip(counts, batch):
-                one = log_likelihood_ratio(DataVector(row, row[0].sum()), a, b)
-                assert one == _lambda_batch(row[None], a, b)[0]
+                one = log_likelihood_ratio(row, a, b)
+                assert one == log_likelihood_ratio(row[None], a, b)[0]
                 assert one == lam
-        assert list(_lambda_batch(cases[0][0], pa, p0)[1:3]) == [math.inf, -math.inf]
+        assert list(log_likelihood_ratio(cases[0][0], pa, p0)[1:3]) == [math.inf, -math.inf]
 
 
 @st.composite
@@ -291,7 +333,7 @@ def llr_cases(draw):
                      .filter(any)) for _ in observables]
         return pv_from_rows(observables, [np.divide(r, sum(r)) for r in rows])
 
-    return DataVector(np.array(counts), N), pv(), pv()
+    return np.concatenate(counts), pv(), pv()
 
 
 class TestLambdaProperties:
@@ -311,12 +353,12 @@ class TestLambdaProperties:
 
 @st.composite
 def lambda_batches(draw):
-    """A (trials, n_obs, 4) count stack, two probability vectors whose
+    """A (trials, 4 * n_obs) count stack, two probability vectors whose
     outcomes may be impossible under either hypothesis, and a reordering of
     the trials."""
     observables = W1_OBSERVABLES[:draw(st.integers(1, 3))]
     trials = draw(st.integers(1, 40))
-    counts = draw(hnp.arrays(np.int64, (trials, len(observables), 4),
+    counts = draw(hnp.arrays(np.int64, (trials, 4 * len(observables)),
                              elements=st.integers(0, 50)))
 
     def pv():
@@ -334,12 +376,13 @@ class TestLambdaBatchOrder:
         # rate) then cannot depend on the order the trials were drawn in
         counts, p_a, p_0, order = case
         try:
-            lam = _lambda_batch(counts, p_a, p_0)
+            lam = log_likelihood_ratio(counts, p_a, p_0)
         except ValueError:
             with pytest.raises(ValueError):
-                _lambda_batch(counts[order], p_a, p_0)
+                log_likelihood_ratio(counts[order], p_a, p_0)
             return
-        assert _lambda_batch(counts[order], p_a, p_0).tobytes() == lam[order].tobytes()
+        assert log_likelihood_ratio(counts[order], p_a, p_0).tobytes() == \
+            lam[order].tobytes()
 
 
 class TestLambdaMin:

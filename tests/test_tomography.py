@@ -4,12 +4,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinwitness import tomography
+from spinwitness import stats, tomography
 from spinwitness.loophole import state_neg_log_likelihood
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import MeasurementSetup, check_density_matrix, fidelity
-from spinwitness.stats import (DataVector, distinction_success_rate,
-                               outcome_probabilities, simulate_measurements)
+from spinwitness.stats import (distinction_success_rate, outcome_probabilities,
+                               simulate_measurements)
 from spinwitness.tomography import (TOMOGRAPHY_OBSERVABLES, mle_reconstruct,
                                     negativity_exceedance, reconstruction_batch)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time
@@ -20,16 +20,16 @@ P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
 SETUP = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
 
 
-def uniform_data(shots_per_obs: int) -> DataVector:
-    counts = np.full((9, 4), shots_per_obs // 4, dtype=np.int64)
-    return DataVector(counts, shots_per_obs)
+def uniform_data(shots_per_obs: int) -> np.ndarray:
+    return np.full(36, shots_per_obs // 4, dtype=np.int64)
 
 
 def r_stack(rho, counts, setup=SETUP):
     """R of each state in a stack against its row of a (trials, 4 *
     n_observables) count array, as the MLE checks and computes it on the
     real forms of the states, read back as complex 4x4 matrices."""
-    counts, total = tomography._count_rows(counts, setup)
+    counts = stats._count_rows(counts, len(setup.projectors))
+    total = counts.sum(axis=1)
     a, b = np.reshape(rho, (-1, 4, 4)).real, np.reshape(rho, (-1, 4, 4)).imag
     r = tomography._r_stack(np.block([[a, -b], [b, a]]), counts, total, setup)
     return r[:, :4, :4] + 1j * r[:, 4:, :4]
@@ -79,29 +79,27 @@ class TestSetup:
 class TestROperator:
     def test_identity_at_exact_frequencies(self):
         # counts exactly proportional to the probabilities of I/4
-        r = r_stack(np.eye(4, dtype=complex) / 4, uniform_data(40).flat[None])[0]
+        r = r_stack(np.eye(4, dtype=complex) / 4, uniform_data(40)[None])[0]
         assert np.abs(r - np.eye(4)).max() <= 1e-10
 
     def test_single_projector_concentration(self):
-        counts = np.zeros((9, 4), dtype=np.int64)
-        counts[0, 0] = 7
-        # bypass the per-block sum check: measure only the first observable
-        data = DataVector(counts[:1], 7)
+        # measure only the first observable
+        counts = np.array([[7, 0, 0, 0]], dtype=np.int64)
         one_obs = MeasurementSetup(TOMOGRAPHY_OBSERVABLES[:1])
-        r = r_stack(np.eye(4, dtype=complex) / 4, data.flat[None], one_obs)[0]
+        r = r_stack(np.eye(4, dtype=complex) / 4, counts, one_obs)[0]
         proj = SETUP.projectors[0]
         assert np.abs(r / np.trace(r).real - proj / np.trace(proj).real).max() < 1e-12
 
     def test_matches_direct_summation(self, rng):
         rho = random_state(rng)
         data = simulate_measurements(rho, TOMOGRAPHY_OBSERVABLES, 50, seed=2)
-        r = r_stack(rho, data.flat[None])[0]
+        r = r_stack(rho, data[None])[0]
         direct = np.zeros((4, 4), dtype=complex)
-        for i, cnt in enumerate(data.flat):
+        for i, cnt in enumerate(data):
             proj = SETUP.projectors[i]
             prob = np.trace(rho @ proj).real
             direct += cnt / prob * proj
-        direct /= data.flat.sum()
+        direct /= data.sum()
         assert np.abs(r - direct).max() < 1e-12
 
     def test_zero_probability_with_counts_raises(self):
@@ -125,14 +123,14 @@ def single_rows():
 
 class TestMLE:
     def test_uniform_data_fixed_point(self):
-        rho = mle_reconstruct(uniform_data(40).flat[None], SETUP)[0]
+        rho = mle_reconstruct(uniform_data(40)[None], SETUP)[0]
         assert np.abs(rho - np.eye(4) / 4).max() <= 1e-12
 
     def test_likelihood_non_decreasing(self, rng):
         tau = optimal_fall_time(P450).tau
         truth = spin_state(P450, tau)
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 30, seed=5)
-        iterates = [mle_reconstruct(data.flat[None], SETUP, iterations=k)[0]
+        iterates = [mle_reconstruct(data[None], SETUP, iterations=k)[0]
                     for k in range(1, 101)]
         loglik = -np.array([state_neg_log_likelihood(rho, data,
                                                      TOMOGRAPHY_OBSERVABLES)
@@ -145,30 +143,28 @@ class TestMLE:
         tau = optimal_fall_time(P450).tau
         truth = spin_state(P450, tau)
         data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 20000, seed=8)
-        rho = mle_reconstruct(data.flat[None], SETUP)[0]
+        rho = mle_reconstruct(data[None], SETUP)[0]
         assert fidelity(rho, truth) > 0.999
 
     def test_one_count_row_gives_a_one_state_stack(self):
         truth = spin_state(P350, optimal_fall_time(P350).tau)
         for seed in range(5):
             data = simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 10, seed=seed)
-            stack = mle_reconstruct(data.flat[None], SETUP)
+            stack = mle_reconstruct(data[None], SETUP)
             assert stack.shape == (1, 4, 4)
             check_density_matrix(stack[0])
-        # only a (trials, 36) count array: neither a lone row nor a DataVector
+        # only a (trials, 36) count array, not a lone row
         with pytest.raises(ValueError, match="shape"):
-            mle_reconstruct(data.flat, SETUP)
-        with pytest.raises(TypeError):
             mle_reconstruct(data, SETUP)
 
     def test_stack_rows_match_single_calls(self):
         truth = spin_state(P350, optimal_fall_time(P350).tau)
         data = [simulate_measurements(truth, TOMOGRAPHY_OBSERVABLES, 10, seed=s)
                 for s in range(40)]
-        stack = mle_reconstruct(np.array([d.flat for d in data]), SETUP)
+        stack = mle_reconstruct(np.array(data), SETUP)
         assert stack.shape == (40, 4, 4)
         for d, rho in zip(data, stack):
-            assert np.array_equal(rho, mle_reconstruct(d.flat[None], SETUP)[0])
+            assert np.array_equal(rho, mle_reconstruct(d[None], SETUP)[0])
 
     def test_real_forms_agree_with_complex_arithmetic(self):
         # 9- and 90-shot rows have zero-count cells by chance; in the
@@ -246,7 +242,7 @@ class TestMLE:
             mle_reconstruct(np.ones((3, 12)), SETUP)
 
     def test_iterations_validated(self):
-        counts = uniform_data(40).flat[None]
+        counts = uniform_data(40)[None]
         for bad in (0, 1.5, 10.0, float("nan"), True):
             with pytest.raises(ValueError, match="iterations must be an integer"):
                 mle_reconstruct(counts, SETUP, iterations=bad)
