@@ -1,5 +1,7 @@
 """Golden digests: every CLI command, run at reduced size with seed 0, must
-reproduce the recorded sha256 of each output file byte for byte.
+reproduce the recorded sha256 of each output file byte for byte. One more
+case runs ``loophole`` at the size of the ``loophole`` benchmark workload,
+where every restart iterates long enough for an arithmetic change to show.
 
 The scenario is the 350 um, gamma = 0.3 1/s point, where every command
 succeeds (``differential`` exits 3 at the default scenario). The digests were
@@ -91,9 +93,23 @@ GOLDEN = {
 }
 
 
-def run_digests(command: str, tmp_path) -> dict:
+#: the ``loophole`` benchmark workload's options: the search at full size,
+#: 16 restarts that nearly all run to the 30-iteration cap
+LOOPHOLE_BENCHMARK_CONFIG = {
+    "scenario": CONFIG["scenario"],
+    "loophole": {"shots_per_observable": 1000, "restarts": 16,
+                 "constraint_margin": 1e-4, "gradient_step": 1e-6,
+                 "max_iterations": 30, "tau": None},
+}
+LOOPHOLE_BENCHMARK_GOLDEN = {
+    "loophole.json":
+        "dfdb2adf9fcde87548a9c58f9e555b9a1f674962942f8e402536785ebb4c21fa",
+}
+
+
+def run_digests(command: str, tmp_path, config: dict = CONFIG) -> dict:
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -109,3 +125,8 @@ def run_digests(command: str, tmp_path) -> dict:
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_outputs_match_golden_digests(command, tmp_path):
     assert run_digests(command, tmp_path) == GOLDEN[command]
+
+
+def test_loophole_at_benchmark_shape(tmp_path):
+    assert run_digests("loophole", tmp_path, LOOPHOLE_BENCHMARK_CONFIG) == \
+        LOOPHOLE_BENCHMARK_GOLDEN
