@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _TAG_RESTART = 21
+_LT_FLAT = 4 * _L_COLS + _L_ROWS  # where l_m sits in a flattened transpose
 
 #: reference loophole state for the 350 um, gamma = 0.3 s^-1, tau = 0.34 s
 #: setting, with entries rounded to three significant figures: it fits the
@@ -90,16 +91,19 @@ class InfeasibleSearchError(RuntimeError):
     """No feasible point found across restarts."""
 
 
-def _nll(probs: np.ndarray, counts: np.ndarray):
-    """-sum n_i log p_i for one row of outcome probabilities (a float) or a
-    stack of rows (an array). Each row is summed from a C-contiguous (stack,
-    counted outcomes) array, so a stack gives the bits of one call per row."""
-    active = counts > 0
-    p = np.ascontiguousarray(probs.reshape(-1, probs.shape[-1])[:, active])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nll = -np.sum(counts[active] * np.log(p), axis=-1)
-    nll[np.any(p <= 0.0, axis=-1)] = math.inf
-    return float(nll[0]) if probs.ndim == 1 else nll.reshape(probs.shape[:-1])
+def _nll(probs: np.ndarray, index: np.ndarray, counted: np.ndarray):
+    """-sum n_i log p_i over the counted outcomes (at ``index``, with counts
+    ``counted``) for one row of probabilities (a float) or a stack (an array),
+    +inf where a counted outcome has probability <= 0. Each row is summed from
+    a C-contiguous array, so a stack gives the bits of one call per row."""
+    p = probs.take(index, axis=-1)
+    if p.min() > 0.0:
+        nll = -(counted * np.log(p)).sum(axis=-1)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nll = np.where((p <= 0.0).any(axis=-1), math.inf,
+                           -(counted * np.log(p)).sum(axis=-1))
+    return float(nll) if probs.ndim == 1 else nll
 
 
 def state_neg_log_likelihood(rho: np.ndarray, n, observables):
@@ -108,7 +112,8 @@ def state_neg_log_likelihood(rho: np.ndarray, n, observables):
     move away from). A float for one state, an array for a stack of shape
     (..., 4, 4)."""
     setup = MeasurementSetup(observables)
-    return _nll(setup.probabilities(rho), _count_rows([n], len(setup.projectors))[0])
+    counts = _count_rows([n], len(setup.projectors))[0]
+    return _nll(setup.probabilities(rho), np.flatnonzero(counts), counts[counts > 0])
 
 
 class _Search:
@@ -117,11 +122,14 @@ class _Search:
     which the objective was evaluated. SLSQP asks for the objective and
     constraint, and for both Jacobians, at the same x (updated in place, so
     keyed by its bytes): the state at x, its outcome probabilities and its
-    Cholesky factor with the factor's derivatives are built once."""
+    Cholesky factor with the factor's derivatives are built once; the counted
+    outcomes of the count row, once per search."""
 
     def __init__(self, counts: np.ndarray, setup: MeasurementSetup, neg_cap: float,
                  h: float):
         self.counts, self.setup, self.neg_cap, self.h = counts, setup, neg_cap, h
+        self.weighted = counts > 0
+        self.index, self.counted = np.flatnonzero(self.weighted), counts[self.weighted]
         self.best: tuple | None = None  # (nll, negativity, angles)
         self._state = self._factor = (None, None)  # (key, value)
 
@@ -131,7 +139,7 @@ class _Search:
         if self._state[0] != key:
             rho = cholesky_to_state(np.frombuffer(key))
             probs = self.setup.probabilities(rho)
-            self._state = key, (rho, _nll(probs, self.counts), negativity(rho), probs)
+            self._state = key, (rho, _nll(probs, self.index, self.counted), negativity(rho), probs)
         return self._state[1]
 
     def _gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -141,10 +149,10 @@ class _Search:
         if self._factor[0] != key:
             self._factor = key, _cholesky_factor(np.frombuffer(key), jacobian=True)
         L, dl = self._factor[1]
-        return 2 * (dl @ (L.conj().T @ weights)[_L_COLS, _L_ROWS]).real
+        return 2 * (dl @ (L.conj().T @ weights).ravel()[_LT_FLAT]).real
 
     def consider(self, x: np.ndarray, fx: float, neg: float) -> None:
-        if self.neg_cap - neg < -1e-9 or not np.isfinite(fx):
+        if self.neg_cap - neg < -1e-9 or not math.isfinite(fx):
             return
         best = self.best
         if best is None or fx < best[0] - 1e-12 or \
@@ -154,7 +162,7 @@ class _Search:
     def objective(self, x: np.ndarray) -> float:
         _, fx, neg, _ = self._at(x)
         self.consider(x, fx, neg)
-        return fx if np.isfinite(fx) else 1e300
+        return fx if math.isfinite(fx) else 1e300
 
     def constraint(self, x: np.ndarray) -> float:
         return self.neg_cap - self._at(x)[2]
@@ -165,12 +173,12 @@ class _Search:
         infinite NLL) it is the central difference of the objective with
         step h instead; its probes are not offered to the incumbent."""
         _, fx, _, probs = self._at(x)
-        if np.isfinite(fx):
-            weights = np.divide(self.counts, probs, out=np.zeros_like(probs), where=self.counts > 0)
+        if math.isfinite(fx):
+            weights = np.divide(self.counts, probs, out=np.zeros(probs.shape), where=self.weighted)
             return -self._gradient(x, self.setup.operator(weights))
         steps = self.h * np.eye(x.size)
         states = cholesky_to_state(np.stack((x + steps, x - steps)))
-        f = _nll(self.setup.probabilities(states), self.counts)
+        f = _nll(self.setup.probabilities(states), self.index, self.counted)
         f = np.where(np.isfinite(f), f, 1e300)
         return (f[0] - f[1]) / (2 * self.h)
 

@@ -213,8 +213,9 @@ _L_SLOTS = [(0, 0), (1, 1), (2, 2), (3, 3),
             (1, 0), (2, 1), (3, 2),
             (2, 0), (3, 1), (3, 0)]
 _L_ROWS, _L_COLS = np.array(_L_SLOTS).T
-# d l_m / d phi_p is nonzero only at angle 9 + p and entry 4 + p
-_PHI_ROWS, _PHI_COLS = np.arange(9, 15), np.arange(4, 10)
+_L_FLAT = 4 * _L_ROWS + _L_COLS  # their positions in a flattened 4x4
+# d l_m / d phi_p is nonzero only at angle 9 + p and entry 4 + p: flat 10 (9 + p) + 4 + p
+_PHI_FLAT = 11 * np.arange(6) + 94
 _EYE9 = np.eye(9, dtype=bool)
 _UPPER9 = np.triu(np.ones((9, 9)))
 
@@ -247,28 +248,28 @@ def _cholesky_factor(x: np.ndarray, jacobian: bool = False):
     th, ph = x[..., :9], x[..., 9:]
     sin, cos = np.sin(th), np.cos(th)
     # 9-sphere recursion: the magnitudes of the ten entries of L, unit norm
-    sines = np.concatenate((np.ones(lead + (1,)), np.cumprod(sin, axis=-1)), axis=-1)
-    mags = np.empty(lead + (10,))
-    mags[..., :9] = sines[..., :9] * cos
-    mags[..., 9] = sines[..., 9]
+    sines = np.ones(lead + (10,))
+    np.multiply.accumulate(sin, axis=-1, out=sines[..., 1:])  # np.cumprod, undispatched
+    mags = sines.copy()
+    mags[..., :9] *= cos
     entries = mags.astype(complex)
     phase = np.exp(1j * ph)
     entries[..., 4:] *= phase
     L = np.zeros(lead + (4, 4), dtype=complex)
-    L[..., _L_ROWS, _L_COLS] = entries
+    L.reshape(lead + (16,))[..., _L_FLAT] = entries
     if not jacobian:
         return L
-    # d sines[i + 1] / d theta_j: the running product with sin(theta_j)
-    # replaced by cos(theta_j), zero where i < j
-    dmags = np.zeros(lead + (9, 10))
-    dmags[..., 1:] = np.cumprod(np.where(_EYE9, cos[..., None, :], sin[..., None, :]),
-                                axis=-1) * _UPPER9
-    dmags[..., :9] *= cos[..., None, :]
-    dmags[..., :9] -= _EYE9 * (sines[..., :9] * sin)[..., None, :]
     jac = np.zeros(lead + (15, 10), dtype=complex)
-    jac[..., :9, :4] = dmags[..., :4]
-    jac[..., :9, 4:] = dmags[..., 4:] * phase[..., None, :]
-    jac[..., _PHI_ROWS, _PHI_COLS] = 1j * entries[..., 4:]
+    jac.reshape(lead + (150,))[..., _PHI_FLAT] = 1j * entries[..., 4:]
+    # the theta rows, real until their phases: d sines[i + 1] / d theta_j is the
+    # running product with sin(theta_j) replaced by cos(theta_j), zero where i < j
+    dmags = jac.real[..., :9, :]
+    np.multiply.accumulate(np.where(_EYE9, cos[..., None, :], sin[..., None, :]),
+                           axis=-1, out=dmags[..., 1:])
+    dmags[..., 1:] *= _UPPER9
+    dmags[..., :9] *= cos[..., None, :]
+    dmags[..., :9] -= _EYE9 * sines[..., None, 1:]  # sines[i] sin(theta_i) is sines[i + 1]
+    jac[..., :9, 4:] *= phase[..., None, :]
     return L, jac
 
 

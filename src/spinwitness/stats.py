@@ -108,10 +108,11 @@ def _count_rows(n, width: int) -> np.ndarray:
         raise ValueError(f"expected counts of shape (trials, {width}), got {counts.shape}")
     if counts.dtype.kind not in "iuf":
         raise ValueError(f"counts must be integers or whole floats, got {counts.dtype}")
-    counts = counts.astype(float)
-    bad = ~(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts)))
+    bad = ~(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))) \
+        if counts.dtype.kind == "f" else counts < 0  # an integer is whole and finite
     if bad.any():
         raise ValueError(f"counts must be finite whole numbers >= 0, got {counts[bad][0]}")
+    counts = counts.astype(float)
     total = counts.sum(axis=1)
     if not total.all():
         raise ValueError(f"trial {np.flatnonzero(total == 0)[0]}: count row sums to zero")

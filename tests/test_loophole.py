@@ -14,7 +14,7 @@ from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import (MeasurementSetup,
                                 check_density_matrix, cholesky_to_state,
                                 fidelity, negativity, partial_transpose)
-from spinwitness.stats import simulate_measurements
+from spinwitness.stats import _count_rows, simulate_measurements
 from spinwitness.tomography import TOMOGRAPHY_OBSERVABLES, mle_reconstruct
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1
 
@@ -326,6 +326,24 @@ class TestAnalyticJacobians:
         assert search.objective(x) == 1e300
         assert np.array_equal(search.objective_jac(x), _central_grad(objective, x, 1e-6))
         assert search.best is None  # the finite probes along theta_0 were not offered
+
+
+@pytest.mark.parametrize("dtype", [np.int64, float], ids=["int64", "whole-float"])
+def test_point_record_equals_public_functions(dtype):
+    # the search's objective and constraint at a point are the public NLL and
+    # negativity of the point's state, exactly, for an int64 row with zero
+    # counts and for the same row as whole floats
+    neg_cap = negativity(RHO_0) - 1e-4
+    with_zeros = 0
+    for data, obs, x in _jacobian_cases():
+        n = data.astype(dtype)
+        with_zeros += not n.all()
+        search = lh._Search(_count_rows([n], n.size)[0], MeasurementSetup(obs), neg_cap, 1e-6)
+        rho = cholesky_to_state(x)
+        nll = state_neg_log_likelihood(rho, n, obs)
+        assert search.objective(x) == (nll if math.isfinite(nll) else 1e300)
+        assert search.constraint(x) == neg_cap - negativity(rho)
+    assert with_zeros == 20  # the 3-shot and the 4-shot rows
 
 
 class TestBatchedJacobians:

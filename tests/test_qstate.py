@@ -4,8 +4,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinwitness.qstate import (PAULI, MeasurementSetup,
-                                check_density_matrix,
+from spinwitness.qstate import (_L_COLS, _L_ROWS, PAULI, MeasurementSetup,
+                                _cholesky_factor, check_density_matrix,
                                 cholesky_to_state, dephase, eigenbasis,
                                 expectation, fidelity, negativity,
                                 partial_transpose, pauli_tensor,
@@ -375,6 +375,50 @@ class TestCholesky:
             for k in range(30):
                 one = cholesky_to_state(x[i, k])
                 assert np.array_equal(stack[i, k], one)
+
+
+def _reference_cholesky_factor(x: np.ndarray):
+    """The Cholesky factor and its (15, 10) derivatives as first written,
+    with np.concatenate and two-index scatters: the oracle of the factor's
+    arithmetic."""
+    eye9, upper9 = np.eye(9, dtype=bool), np.triu(np.ones((9, 9)))
+    lead = x.shape[:-1]
+    th, ph = x[..., :9], x[..., 9:]
+    sin, cos = np.sin(th), np.cos(th)
+    sines = np.concatenate((np.ones(lead + (1,)), np.cumprod(sin, axis=-1)), axis=-1)
+    mags = np.empty(lead + (10,))
+    mags[..., :9] = sines[..., :9] * cos
+    mags[..., 9] = sines[..., 9]
+    entries = mags.astype(complex)
+    phase = np.exp(1j * ph)
+    entries[..., 4:] *= phase
+    L = np.zeros(lead + (4, 4), dtype=complex)
+    L[..., _L_ROWS, _L_COLS] = entries
+    dmags = np.zeros(lead + (9, 10))
+    dmags[..., 1:] = np.cumprod(np.where(eye9, cos[..., None, :], sin[..., None, :]),
+                                axis=-1) * upper9
+    dmags[..., :9] *= cos[..., None, :]
+    dmags[..., :9] -= eye9 * (sines[..., :9] * sin)[..., None, :]
+    jac = np.zeros(lead + (15, 10), dtype=complex)
+    jac[..., :9, :4] = dmags[..., :4]
+    jac[..., :9, 4:] = dmags[..., 4:] * phase[..., None, :]
+    jac[..., np.arange(9, 15), np.arange(4, 10)] = 1j * entries[..., 4:]
+    return L, jac
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["single", "7", "3x5"])
+@pytest.mark.parametrize("kind", ["uniform", "zeros", "half-pi"])
+def test_cholesky_factor_bits_equal_reference(lead, kind):
+    rng = np.random.default_rng(17)
+    x = {"uniform": lambda: rng.uniform(-5.0, 5.0, lead + (15,)),
+         "zeros": lambda: np.zeros(lead + (15,)),
+         "half-pi": lambda: rng.integers(-4, 5, lead + (15,)) * (np.pi / 2)}[kind]()
+    want = _reference_cholesky_factor(x)
+    got = (_cholesky_factor(x), *_cholesky_factor(x, jacobian=True))
+    for g, w in zip(got, (want[0], *want)):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()  # signed zeros too
 
 
 @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3).flatmap(

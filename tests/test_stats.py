@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -158,10 +159,12 @@ def _bad_count_rows() -> dict:
     may accept, by name."""
     rows = {}
     for name, value in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf),
-                        ("fractional", 2.5)):
+                        ("fractional", 2.5), ("negative-float", -1.0)):
         rows[name] = np.full(12, 5.0)
         rows[name][3] = value
     rows["negative"] = np.array([-1, 6, 5, 5] * 3)
+    # an integer row is checked for its sign alone
+    rows["negative-int64"] = np.array([5, 6, 5, 5] * 2 + [5, 6, 5, -2], dtype=np.int64)
     rows["bool"] = np.ones(12, dtype=bool)
     rows["zero-row"] = np.zeros(12, dtype=np.int64)
     rows["width"] = np.full(8, 5, dtype=np.int64)
@@ -195,6 +198,14 @@ def test_bad_counts_raise_at_the_boundary(call, bad):
     # one for negative or fractional counts
     with pytest.raises(ValueError, match="count"):
         call(bad)
+
+
+@pytest.mark.parametrize("call", COUNT_TAKERS.values(), ids=COUNT_TAKERS.keys())
+def test_unsigned_counts_pass_the_boundary(call):
+    # an unsigned row needs no sign test, and gives the results of the same
+    # counts as int64, bit for bit
+    row = np.array([4, 6, 5, 5, 0, 7, 5, 8, 5, 5, 5, 5])
+    assert pickle.dumps(call(row.astype(np.uint64))) == pickle.dumps(call(row))
 
 
 def test_whole_float_counts_equal_integer_counts():
