@@ -1,7 +1,7 @@
 """Golden digests: every CLI command, run at reduced size with seed 0, must
 reproduce the recorded sha256 of each output file byte for byte. One more
-case runs ``loophole`` at the size of the ``loophole`` benchmark workload,
-where every restart iterates long enough for an arithmetic change to show.
+case runs ``loophole`` at the options of the ``loophole`` benchmark
+workload: 16 restarts of up to 30 SLSQP iterations each.
 
 The scenario is the 350 um, gamma = 0.3 1/s point, where every command
 succeeds (``differential`` exits 3 at the default scenario). The digests were
