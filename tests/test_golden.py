@@ -1,7 +1,8 @@
 """Golden digests: every CLI command, run at reduced size with seed 0, must
 reproduce the recorded sha256 of each output file byte for byte. One more
 case runs ``loophole`` at the options of the ``loophole`` benchmark
-workload: 16 restarts of up to 30 SLSQP iterations each.
+workload: 16 restarts of up to 30 SLSQP iterations each, and one more at the
+same options with seed 33, whose incumbent comes from restart 11.
 
 The scenario is the 350 um, gamma = 0.3 1/s point, where every command
 succeeds (``differential`` exits 3 at the default scenario). The digests were
@@ -105,16 +106,24 @@ LOOPHOLE_BENCHMARK_GOLDEN = {
     "loophole.json":
         "dfdb2adf9fcde87548a9c58f9e555b9a1f674962942f8e402536785ebb4c21fa",
 }
+#: at seed 0 the incumbent comes from restart 0, so that digest guards only
+#: the first restarts; at seed 33 it comes from restart 11 (the output stops
+#: changing from 12 restarts on), so this one guards restarts 0-11
+LOOPHOLE_LATE_WINNER_SEED = 33
+LOOPHOLE_LATE_WINNER_GOLDEN = {
+    "loophole.json":
+        "47406aa9500abd10f0f94ed290835d1dac7766d0fc1c4b8e868346043491ac81",
+}
 
 
-def run_digests(command: str, tmp_path, config: dict = CONFIG) -> dict:
+def run_digests(command: str, tmp_path, config: dict = CONFIG, seed: int = 0) -> dict:
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "spinwitness.cli", command, "--config", str(cfg),
-         "--seed", "0", "--trials", TRIALS, "--out", str(out)],
+         "--seed", str(seed), "--trials", TRIALS, "--out", str(out)],
         env={**os.environ, **THREAD_ENV, "PYTHONPATH": path},
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
@@ -130,3 +139,8 @@ def test_outputs_match_golden_digests(command, tmp_path):
 def test_loophole_at_benchmark_shape(tmp_path):
     assert run_digests("loophole", tmp_path, LOOPHOLE_BENCHMARK_CONFIG) == \
         LOOPHOLE_BENCHMARK_GOLDEN
+
+
+def test_loophole_at_benchmark_shape_late_winner(tmp_path):
+    assert run_digests("loophole", tmp_path, LOOPHOLE_BENCHMARK_CONFIG,
+                       LOOPHOLE_LATE_WINNER_SEED) == LOOPHOLE_LATE_WINNER_GOLDEN
