@@ -75,7 +75,7 @@ class RestartRecord:
     error: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopholeResult:
     """Best feasible state found: its fit to the data and its entanglement,
     plus one ``RestartRecord`` per restart, in restart order."""

@@ -64,7 +64,7 @@ def pauli_tensor(obs: PauliObservable) -> np.ndarray:
     return _PAULI_TENSORS[obs[0], obs[1]].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Rank-1 eigenprojectors of a bipartite Pauli pair.
 

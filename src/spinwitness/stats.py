@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -48,8 +48,8 @@ _TAG_ALT = 3
 _TAG_WITNEG = 4
 
 
-#: entries kept by the stream-words cache (least recently used evicted first)
-#: and by the lambda_min cache (oldest evicted first)
+#: entries kept by the stream-words and lambda_min caches (least recently
+#: used evicted first)
 _CACHE_SIZE = 256
 
 #: the stride of one ``PCG64.jumped`` step (numpy's ``jump_inplace``)
@@ -126,39 +126,38 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Outcome probabilities p[i, j] of observable i giving eigenstate j."""
+    """Outcome probabilities as one read-only (4 * n_obs,) row in count-row
+    order: p = 4 i + j is outcome j of observable i. Two vectors are equal,
+    and hash equal, when their rows have the same bytes."""
 
-    observables: tuple
-    probs: np.ndarray
+    probs: np.ndarray = field(compare=False)
+    _bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 2 or probs.shape[1] != 4 or probs.shape[0] != len(self.observables):
-            raise ValueError("probs must have shape (n_observables, 4)")
+        if probs.ndim != 1 or probs.size == 0 or probs.size % 4:
+            raise ValueError(f"probabilities must be a non-empty row of 4 per "
+                             f"observable, got shape {probs.shape}")
         if not np.isfinite(probs).all():  # NaN passes both range checks below
             raise ValueError(f"probabilities must be finite, got "
                              f"{float(probs[~np.isfinite(probs)][0])}")
         if probs.min() < -1e-12:
             raise ValueError(f"negative probability {probs.min():.3e}")
-        if np.abs(probs.sum(axis=1) - 1).max() > 1e-10:
+        if np.abs(probs.reshape(-1, 4).sum(axis=1) - 1).max() > 1e-10:
             raise ValueError("each block of 4 probabilities must sum to 1")
-        object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
-        object.__setattr__(self, "observables", tuple(self.observables))
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.probs.reshape(-1)
+        probs = np.clip(probs, 0.0, None)
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_bytes", probs.tobytes())
 
 
 def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
-    """p[i, j] = Tr(rho |e_ij><e_ij|) over each observable's eigenprojectors."""
-    setup = MeasurementSetup(observables)
-    probs = setup.probabilities(rho).reshape(-1, 4)
-    return ProbabilityVector(setup.observables, probs)
+    """Tr(rho P_p) over the observables' eigenprojectors, in count-row order."""
+    return ProbabilityVector(MeasurementSetup(observables).probabilities(rho))
 
 
 def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) -> np.ndarray:
-    """(trials, n_obs, 4) multinomial counts of N shots per observable, one
+    """(trials, 4 * n_obs) int64 count rows of N shots per observable, one
     substream per trial; every Monte Carlo path draws here, so this is where
     N, ``trials`` and the seed are checked. One 2-D ``multinomial`` call per trial
     draws the same counts but is slower (numpy 2.4.6, 2-core Xeon: 19 us for
@@ -166,12 +165,14 @@ def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) ->
     if not (_is_count(N) and _is_count(trials) and _is_count(seed, 0)):
         raise ValueError(f"shot count N and trials must be integers >= 1 and the seed "
                          f"an integer >= 0, got N={N!r}, trials={trials!r}, seed={seed!r}")
-    probs = pv.probs / pv.probs.sum(axis=1, keepdims=True)
-    out = np.empty((trials, len(pv.observables), 4), dtype=np.int64)
+    probs = pv.probs.reshape(-1, 4)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    out = np.empty((trials, pv.probs.size), dtype=np.int64)
+    blocks = out.reshape(trials, -1, 4)
     for t in range(trials):
         rng = trial_rng(seed, tags, t)
         for i, block in enumerate(probs):
-            out[t, i] = rng.multinomial(N, block)
+            blocks[t, i] = rng.multinomial(N, block)
     return out
 
 
@@ -179,7 +180,7 @@ def simulate_measurements(rho: np.ndarray, observables, N: int, seed: int) -> np
     """One multinomial draw of N outcomes per observable, as an int64 count
     row; deterministic in seed."""
     pv = outcome_probabilities(rho, observables)
-    return _draw_counts(pv, N, seed, (_TAG_SIMULATE,), 1).reshape(-1)
+    return _draw_counts(pv, N, seed, (_TAG_SIMULATE,), 1)[0]
 
 
 def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector):
@@ -194,14 +195,13 @@ def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector)
     the null) or -inf (impossible under the alternative). Data impossible
     under both raise, whether one outcome or two make them so.
     """
-    pa, p0 = p_a.flat, p_0.flat
+    pa, p0 = p_a.probs, p_0.probs
     counts = np.asarray(counts)
     flat = _count_rows(np.atleast_2d(counts), pa.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.log(pa) - np.log(p0)
-    active = flat > 0
-    dead_a = (active & (pa <= 0.0)).any(axis=1)
-    dead_0 = (active & (p0 <= 0.0)).any(axis=1)
+    dead_a = (flat[:, pa <= 0.0] > 0).any(axis=1)
+    dead_0 = (flat[:, p0 <= 0.0] > 0).any(axis=1)
     if np.any(dead_a & dead_0):
         raise ValueError("observed data impossible under both hypotheses")
     out = 2.0 * (flat * np.where(np.isfinite(weight), weight, 0.0)).sum(axis=1)
@@ -210,15 +210,13 @@ def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector)
     return float(out[0]) if counts.ndim == 1 else out
 
 
-_lambda_min_cache: dict = {}
-
-
 def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: float,
                trials: int, seed: int) -> float:
     """Decision threshold: empirical (1-alpha) percentile of lambda over
     ``trials`` count rows simulated under the null hypothesis. A process
-    keeps the last ``_CACHE_SIZE`` distinct thresholds. A NaN percentile,
-    interpolated against an infinite lambda, raises RuntimeError uncached."""
+    keeps the ``_CACHE_SIZE`` most recently used thresholds. A NaN
+    percentile, interpolated against an infinite lambda, raises RuntimeError
+    uncached."""
     _check_alpha(alpha)
     # checked before the cache lookup: True == 1.0 == 1 would find 1's threshold
     if not (_is_count(N) and _is_count(trials, 100)):
@@ -226,19 +224,18 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
                          f"needs trials >= 100), got N={N!r}, trials={trials!r}")
     if not _is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    key = (p_0.probs.tobytes(), p_a.probs.tobytes(), N, alpha, trials, seed)
-    if key in _lambda_min_cache:
-        return _lambda_min_cache[key]
-    counts = _draw_counts(p_0, N, seed, (_TAG_NULL, N), trials)
-    lam0 = log_likelihood_ratio(counts.reshape(trials, -1), p_a, p_0)
+    return _lambda_threshold(p_0, p_a, N, alpha, trials, seed)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _lambda_threshold(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int,
+                      alpha: float, trials: int, seed: int) -> float:
+    lam0 = log_likelihood_ratio(_draw_counts(p_0, N, seed, (_TAG_NULL, N), trials), p_a, p_0)
     with np.errstate(invalid="ignore"):
         value = float(np.percentile(lam0, 100.0 * (1.0 - alpha)))
     if math.isnan(value):
         raise RuntimeError(f"lambda_min at N={N} is NaN: {np.sum(lam0 == -math.inf)} "
                            f"of {trials} null lambdas are -inf")
-    if len(_lambda_min_cache) >= _CACHE_SIZE:
-        del _lambda_min_cache[next(iter(_lambda_min_cache))]
-    _lambda_min_cache[key] = value
     return value
 
 
@@ -273,8 +270,8 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     rates, lmins = [], []
     for N in shots_per_observable:
         lmin = lambda_min(p_0, p_a, N, alpha, lambda_trials, seed)
-        counts = _draw_counts(p_data, N, seed, (_TAG_ALT, N), trials)
-        lam = log_likelihood_ratio(counts.reshape(trials, -1), p_a, p_0)
+        lam = log_likelihood_ratio(_draw_counts(p_data, N, seed, (_TAG_ALT, N), trials),
+                                   p_a, p_0)
         rates.append(float(np.mean(lam >= lmin)))
         lmins.append(lmin)
     return rates, lmins
@@ -318,7 +315,7 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
     rates = []
     for N in shots_per_observable:
         counts = _draw_counts(pv, N, seed, (_TAG_WITNEG, N), trials)
-        means = (counts * signs).sum(axis=2) / N
+        means = (counts.reshape(trials, -1, 4) * signs).sum(axis=2) / N
         estimate = 1.0 - means.sum(axis=1)
         rates.append(float(np.mean(estimate < 0.0)))
     return SuccessRateReport(

@@ -66,8 +66,8 @@ def _check_total(total_shots: int) -> int:
 
 def _tomo_counts(rho: np.ndarray, N: int, seed: int, tag: int, trials: int):
     """(trials, 36) multinomial counts of N shots per tomography observable."""
-    pv = outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES)
-    return _draw_counts(pv, N, seed, (tag, N), trials).reshape(trials, -1)
+    return _draw_counts(outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES), N, seed,
+                        (tag, N), trials)
 
 
 def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: int,

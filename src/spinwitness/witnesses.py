@@ -150,7 +150,7 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
     return OptimalFallTime(float(tau), float(val), witnessing=bool(val < 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessScan:
     """Witness expectation over a strictly increasing time grid at one
     dephasing rate."""

@@ -21,7 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
 sys.path.insert(0, str(ROOT / "benchmarks"))
 import run as bench_run  # noqa: E402
+import tracer  # noqa: E402
 import workloads  # noqa: E402
+from spinwitness import stats  # noqa: E402
 
 #: metrics that count something other than calls of a package function:
 #: SciPy's minimize inside the loophole search, tracer-side counters and ratios
@@ -70,3 +72,20 @@ def test_traced_smoke_run_matches_pinned_counts(traced_smoke_reps, workload):
     counts = rep["result"]["trace"]
     expected = workloads.expected_counts(cmds)
     assert {key: counts.get(key) for key in expected} == expected
+
+
+def test_tracer_keys_equal_probability_vectors_as_one(monkeypatch):
+    # the traced lambda_min keys each probability vector by its row bytes and
+    # pins repeat_calls; the cache must agree, or the control run draws again
+    stats._lambda_threshold.cache_clear()
+    draws = []
+    trial_rng = stats.trial_rng
+    monkeypatch.setattr(stats, "trial_rng", lambda *args: draws.append(args) or trial_rng(*args))
+    traced = tracer.Tracer()
+    lambda_min = traced.wrap_lambda_min(stats.lambda_min)
+    p_0, p_a = ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4])
+    for _ in range(2):  # equal contents, built separately
+        lambda_min(stats.ProbabilityVector(list(p_0)), stats.ProbabilityVector(list(p_a)),
+                   N=3, alpha=0.05, trials=100, seed=6)
+    assert traced.counters == {"stats.lambda_min.repeat_calls": 1}
+    assert len(draws) == 100

@@ -17,7 +17,7 @@ from spinwitness.stats import (ProbabilityVector, differential_success_rate,
                                outcome_probabilities, simulate_measurements,
                                success_rate_curve, trial_rng,
                                witness_negative_probability)
-from spinwitness.witnesses import (W1_OBSERVABLES, optimal_fall_time,
+from spinwitness.witnesses import (W1_OBSERVABLES, WitnessScan, optimal_fall_time,
                                    w1_expectation_closed_form)
 from conftest import random_state
 
@@ -27,8 +27,9 @@ P450 = ScenarioParams(dephasing_gamma=0.03)
 ZZ = (("Z", "Z"),)
 
 
-def pv_from_rows(observables, rows):
-    return ProbabilityVector(observables, np.asarray(rows, dtype=float))
+def pv_from_blocks(blocks):
+    """The probability vector of one block of 4 outcomes per observable."""
+    return ProbabilityVector(np.ravel(np.asarray(blocks, dtype=float)))
 
 
 class TestProbabilityVector:
@@ -40,37 +41,77 @@ class TestProbabilityVector:
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1
         pv = outcome_probabilities(rho, ZZ)
-        assert np.allclose(pv.probs, [[1, 0, 0, 0]], atol=1e-12)
+        assert np.allclose(pv.probs, [1, 0, 0, 0], atol=1e-12)
 
     def test_blocks_sum_to_one_and_match_projector_traces(self, rng):
         tau = optimal_fall_time(P450).tau
         rho = spin_state(P450, tau)
         pv = outcome_probabilities(rho, W1_OBSERVABLES)
-        assert np.abs(pv.probs.sum(axis=1) - 1).max() <= 1e-10
+        assert np.abs(pv.probs.reshape(-1, 4).sum(axis=1) - 1).max() <= 1e-10
         for i, obs in enumerate(W1_OBSERVABLES):
             basis = eigenbasis(obs)
             for j in range(4):
                 direct = np.trace(rho @ basis.projectors[j]).real
-                assert pv.probs[i, j] == pytest.approx(direct, abs=1e-12)
+                assert pv.probs[4 * i + j] == pytest.approx(direct, abs=1e-12)
 
     def test_equals_per_observable_traces_bit_for_bit(self, rng):
         obs = W1_OBSERVABLES + (("Z", "Z"), ("Y", "X"))
         for _ in range(20):
             rho = random_state(rng)
             rows = [MeasurementSetup((o,)).probabilities(rho) for o in obs]
-            assert np.array_equal(outcome_probabilities(rho, obs).probs, rows)
+            assert np.array_equal(outcome_probabilities(rho, obs).probs,
+                                  np.concatenate(rows))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probability_rejected(self, bad):
         # NaN fails both the sign and the normalisation comparison
         with pytest.raises(ValueError, match=f"probabilities must be finite, got {bad}"):
-            ProbabilityVector((("X", "X"),), [[bad, 0.5, 0.25, 0.25]])
+            ProbabilityVector([bad, 0.5, 0.25, 0.25])
 
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError):
-            pv_from_rows(ZZ, [[0.5, 0.2, 0.2, 0.2]])
+            pv_from_blocks([[0.5, 0.2, 0.2, 0.2]])
         with pytest.raises(ValueError):
-            pv_from_rows(ZZ, [[1.1, -0.1, 0.0, 0.0]])
+            pv_from_blocks([[1.1, -0.1, 0.0, 0.0]])
+
+    def test_equal_by_row_bytes(self):
+        row = [0.4, 0.3, 0.2, 0.1]
+        a, b = ProbabilityVector(row), ProbabilityVector(np.array(row))
+        assert a == b and hash(a) == hash(b)
+        assert a != ProbabilityVector(row[::-1])
+        assert a != ProbabilityVector(row + row)
+        with pytest.raises(ValueError):  # the row is read-only: its bytes are the key
+            a.probs[0] = 0.5
+
+
+def _bad_probability_rows() -> dict:
+    """Probability rows that ProbabilityVector must reject, by name."""
+    rows = {}
+    for name, value in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf)):
+        rows[name] = np.full(12, 0.25)
+        rows[name][3] = value
+    rows["negative"] = np.array([0.5 + 1e-9, 0.25, 0.25, -1e-9] * 3)
+    rows["sum-above-one"] = np.array([0.25] * 11 + [0.25 + 1e-9])
+    rows["width"] = np.full(6, 0.25)
+    rows["empty"] = np.empty(0)
+    rows["2-d"] = np.full((3, 4), 0.25)
+    return rows
+
+
+BAD_PROBABILITY_ROWS = _bad_probability_rows()
+
+
+@pytest.mark.parametrize("bad", BAD_PROBABILITY_ROWS.values(), ids=BAD_PROBABILITY_ROWS.keys())
+def test_bad_probabilities_raise_at_the_boundary(bad):
+    with pytest.raises(ValueError, match="probabilit"):
+        ProbabilityVector(bad)
+
+
+@pytest.mark.parametrize("rho", [np.eye(4) / 2, np.diag([math.nan, 1.0, 0.0, 0.0])],
+                         ids=["trace-2", "nan"])
+def test_outcome_probabilities_of_a_non_state_raise(rho):
+    with pytest.raises(ValueError, match="probabilit"):
+        outcome_probabilities(rho, W1_OBSERVABLES)
 
 
 def reference_rng(seed, tags, t):
@@ -208,6 +249,26 @@ def test_unsigned_counts_pass_the_boundary(call):
     assert pickle.dumps(call(row.astype(np.uint64))) == pickle.dumps(call(row))
 
 
+#: per type, a builder of equal-content instances, and whether two of them
+#: compare equal: a probability vector is a cache key, the others are results
+EQUALITY_CASES = {
+    "ProbabilityVector": (lambda: outcome_probabilities(BELL, W1_OBSERVABLES), True),
+    "MeasurementBasis": (lambda: eigenbasis(("X", "Z")), False),
+    "WitnessScan": (lambda: WitnessScan(np.arange(3.0), np.zeros(3), 0.0), False),
+    "LoopholeResult": (lambda: LoopholeResult(MIXED, 0.0, 0.0, True), False),
+}
+
+
+@pytest.mark.parametrize("build, by_content", EQUALITY_CASES.values(),
+                         ids=EQUALITY_CASES.keys())
+def test_compared_by_content_or_identity(build, by_content):
+    # array fields made == raise ValueError and hash() raise TypeError
+    a, b = build(), build()
+    assert a == a and hash(a) == hash(a)
+    assert (a == b) is by_content and (a != b) is not by_content
+    assert len({a, b}) == (1 if by_content else 2)
+
+
 def test_whole_float_counts_equal_integer_counts():
     data = simulate_measurements(BELL, W1_OBSERVABLES, 40, seed=1)
     p_a = outcome_probabilities(MIXED, W1_OBSERVABLES)
@@ -253,26 +314,25 @@ class TestLogLikelihoodRatio:
         assert log_likelihood_ratio(data, pv, pv) == 0.0
 
     def test_single_shot_against_product_oracle(self):
-        pa = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
-        p0 = pv_from_rows(ZZ, [[0.4, 0.3, 0.2, 0.1]])
+        pa = pv_from_blocks([[0.1, 0.2, 0.3, 0.4]])
+        p0 = pv_from_blocks([[0.4, 0.3, 0.2, 0.1]])
         for k in range(4):
             counts = np.zeros(4, dtype=int)
             counts[k] = 1
             lam = log_likelihood_ratio(counts, pa, p0)
             # direct -2 log of the likelihood quotient Lambda = prod p^n
-            direct = -2 * math.log(p0.probs[0, k] / pa.probs[0, k])
+            direct = -2 * math.log(p0.probs[k] / pa.probs[k])
             assert lam == pytest.approx(direct, abs=1e-12)
-            assert lam == pytest.approx(2 * (math.log(pa.probs[0, k])
-                                             - math.log(p0.probs[0, k])), abs=1e-12)
+            assert lam == pytest.approx(2 * (math.log(pa.probs[k])
+                                             - math.log(p0.probs[k])), abs=1e-12)
 
     def test_scalar_product_equals_product_form(self, rng):
         # small-N check of the vectorized identity
-        pa = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
-        p0 = pv_from_rows(ZZ, [[0.25, 0.25, 0.25, 0.25]])
+        pa = pv_from_blocks([[0.1, 0.2, 0.3, 0.4]])
+        p0 = pv_from_blocks([[0.25, 0.25, 0.25, 0.25]])
         for _ in range(20):
-            counts = rng.multinomial(6, pa.probs[0])
-            product = np.prod(p0.probs[0] ** counts) / \
-                np.prod(pa.probs[0] ** counts)
+            counts = rng.multinomial(6, pa.probs)
+            product = np.prod(p0.probs ** counts) / np.prod(pa.probs ** counts)
             assert log_likelihood_ratio(counts, pa, p0) == pytest.approx(
                 -2 * math.log(product), abs=1e-9)
 
@@ -291,8 +351,8 @@ class TestLogLikelihoodRatio:
         assert positive >= 198
 
     def test_infinite_evidence_signaling(self):
-        pa = pv_from_rows(ZZ, [[0.25, 0.25, 0.25, 0.25]])
-        p0 = pv_from_rows(ZZ, [[1.0, 0.0, 0.0, 0.0]])
+        pa = pv_from_blocks([[0.25, 0.25, 0.25, 0.25]])
+        p0 = pv_from_blocks([[1.0, 0.0, 0.0, 0.0]])
         data = np.array([0, 1, 0, 0])
         assert log_likelihood_ratio(data, pa, p0) == math.inf
         assert log_likelihood_ratio(data, p0, pa) == -math.inf
@@ -300,8 +360,8 @@ class TestLogLikelihoodRatio:
             log_likelihood_ratio(data, p0, p0)
         # outcome 1 rules out the first hypothesis, outcome 3 the second
         rules_out_both = np.array([0, 1, 0, 1])
-        pb = pv_from_rows(ZZ, [[0.0, 0.0, 0.0, 1.0]])
-        pc = pv_from_rows(ZZ, [[0.0, 1.0, 0.0, 0.0]])
+        pb = pv_from_blocks([[0.0, 0.0, 0.0, 1.0]])
+        pc = pv_from_blocks([[0.0, 1.0, 0.0, 0.0]])
         for a, b in ((pb, pc), (pc, pb)):
             with pytest.raises(ValueError):
                 log_likelihood_ratio(rules_out_both, a, b)
@@ -309,15 +369,15 @@ class TestLogLikelihoodRatio:
     def test_equals_batch_row_including_infinite_evidence(self, rng):
         # one function: a row gives the float of a one-row stack, and each row
         # of a larger stack has the bits of its single-row call
-        pa = pv_from_rows(ZZ, [[0.25, 0.25, 0.5, 0.0]])
-        p0 = pv_from_rows(ZZ, [[0.5, 0.0, 0.25, 0.25]])
+        pa = pv_from_blocks([[0.25, 0.25, 0.5, 0.0]])
+        p0 = pv_from_blocks([[0.5, 0.0, 0.25, 0.25]])
         tau = optimal_fall_time(P450).tau
         p_a = outcome_probabilities(spin_state(P450.with_hypothesis(True), tau),
                                     W1_OBSERVABLES)
         p_0 = outcome_probabilities(spin_state(P450.with_hypothesis(False), tau),
                                     W1_OBSERVABLES)
         draws = np.array([rng.multinomial(40, block) for _ in range(30)
-                          for block in p_a.probs]).reshape(30, 12)
+                          for block in p_a.probs.reshape(-1, 4)]).reshape(30, 12)
         cases = [(np.array([[3, 0, 2, 0], [1, 4, 0, 0], [0, 0, 1, 4],
                             [2, 0, 3, 0]]), pa, p0), (draws, p_a, p_0)]
         for counts, a, b in cases:
@@ -342,7 +402,7 @@ def llr_cases(draw):
     def pv():
         rows = [draw(st.lists(st.integers(0, 5), min_size=4, max_size=4)
                      .filter(any)) for _ in observables]
-        return pv_from_rows(observables, [np.divide(r, sum(r)) for r in rows])
+        return pv_from_blocks([np.divide(r, sum(r)) for r in rows])
 
     return np.concatenate(counts), pv(), pv()
 
@@ -375,7 +435,7 @@ def lambda_batches(draw):
     def pv():
         rows = [draw(st.lists(st.integers(0, 9), min_size=4, max_size=4)
                      .filter(any)) for _ in observables]
-        return pv_from_rows(observables, [np.divide(r, sum(r)) for r in rows])
+        return pv_from_blocks([np.divide(r, sum(r)) for r in rows])
 
     return counts, pv(), pv(), draw(st.permutations(range(trials)))
 
@@ -401,43 +461,43 @@ class TestLambdaMin:
         # l=1, N=1: the lambda distribution has four atoms; its 99th
         # percentile is the largest atom whenever that atom's probability
         # exceeds 1%
-        p0 = pv_from_rows(ZZ, [[0.4, 0.3, 0.2, 0.1]])
-        pa = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
-        lams = 2 * (np.log(pa.probs[0]) - np.log(p0.probs[0]))
+        p0 = pv_from_blocks([[0.4, 0.3, 0.2, 0.1]])
+        pa = pv_from_blocks([[0.1, 0.2, 0.3, 0.4]])
+        lams = 2 * (np.log(pa.probs) - np.log(p0.probs))
         exact = lams.max()  # atoms sorted by lambda have null CDF .4,.7,.9,1.
         mc = lambda_min(p0, pa, N=1, alpha=0.01, trials=100000, seed=5)
         assert mc == pytest.approx(exact, abs=1e-9)
 
     def test_alpha_near_one_gives_minimum(self):
-        p0 = pv_from_rows(ZZ, [[0.4, 0.3, 0.2, 0.1]])
-        pa = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
-        lams = 2 * (np.log(pa.probs[0]) - np.log(p0.probs[0]))
+        p0 = pv_from_blocks([[0.4, 0.3, 0.2, 0.1]])
+        pa = pv_from_blocks([[0.1, 0.2, 0.3, 0.4]])
+        lams = 2 * (np.log(pa.probs) - np.log(p0.probs))
         mc = lambda_min(p0, pa, N=1, alpha=1 - 1e-9, trials=10000, seed=5)
         assert mc == pytest.approx(lams.min(), abs=1e-9)
 
     def test_non_increasing_in_alpha(self):
-        p0 = pv_from_rows(ZZ, [[0.4, 0.3, 0.2, 0.1]])
-        pa = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
+        p0 = pv_from_blocks([[0.4, 0.3, 0.2, 0.1]])
+        pa = pv_from_blocks([[0.1, 0.2, 0.3, 0.4]])
         values = [lambda_min(p0, pa, N=20, alpha=a, trials=2000, seed=1)
                   for a in (0.01, 0.05, 0.2, 0.5)]
         assert all(x >= y for x, y in zip(values, values[1:]))
 
     @pytest.mark.parametrize("N", [8, 10, 20])
-    def test_nan_percentile_raises_uncached(self, N, monkeypatch):
+    def test_nan_percentile_raises_uncached(self, N):
         # most null datasets hit an outcome impossible under the alternative:
         # the 99th percentile interpolates between -inf values and is NaN,
         # against which no lambda (here every one is 2 N ln 2) would succeed
-        monkeypatch.setattr(stats, "_lambda_min_cache", {})
-        p0 = pv_from_rows((("X", "X"),), [[0.25] * 4])
-        pa = pv_from_rows((("X", "X"),), [[0.5, 0.5, 0.0, 0.0]])
+        stats._lambda_threshold.cache_clear()
+        p0 = pv_from_blocks([[0.25] * 4])
+        pa = pv_from_blocks([[0.5, 0.5, 0.0, 0.0]])
         with pytest.raises(RuntimeError, match=f"N={N} is NaN"):
             lambda_min(p0, pa, N=N, alpha=0.01, trials=1000, seed=0)
         with pytest.raises(RuntimeError):
             success_rate_curve(pa, pa, p0, [N], 0.01, 100, 0, lambda_trials=1000)
-        assert stats._lambda_min_cache == {}
+        assert stats._lambda_threshold.cache_info().currsize == 0
 
     def test_requires_enough_trials(self):
-        p0 = pv_from_rows(ZZ, [[0.25] * 4])
+        p0 = pv_from_blocks([[0.25] * 4])
         with pytest.raises(ValueError):
             lambda_min(p0, p0, N=1, alpha=0.01, trials=50, seed=0)
         with pytest.raises(ValueError):
@@ -445,25 +505,35 @@ class TestLambdaMin:
 
 
 class TestLambdaMinCache:
-    P0 = pv_from_rows(ZZ, [[0.4, 0.3, 0.2, 0.1]])
-    PA = pv_from_rows(ZZ, [[0.1, 0.2, 0.3, 0.4]])
+    P0 = pv_from_blocks([[0.4, 0.3, 0.2, 0.1]])
+    PA = pv_from_blocks([[0.1, 0.2, 0.3, 0.4]])
 
-    def test_bounded_with_oldest_evicted_first(self, monkeypatch):
-        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+    def test_bounded_with_least_recently_used_evicted_first(self):
+        cache = stats._lambda_threshold
+        cache.cache_clear()
+
+        def hit(alpha):
+            hits = cache.cache_info().hits
+            lambda_min(self.P0, self.PA, N=1, alpha=alpha, trials=100, seed=2)
+            return cache.cache_info().hits > hits
+
         alphas = [0.01 + 1e-4 * k for k in range(stats._CACHE_SIZE + 10)]
         for a in alphas:
-            lambda_min(self.P0, self.PA, N=1, alpha=a, trials=100, seed=2)
-            assert len(stats._lambda_min_cache) <= stats._CACHE_SIZE
-        kept = [key[3] for key in stats._lambda_min_cache]
-        assert kept == alphas[-stats._CACHE_SIZE:]
+            assert not hit(a)
+            assert cache.cache_info().currsize <= stats._CACHE_SIZE
+        # the oldest kept threshold, used again, outlives the next oldest
+        assert hit(alphas[10])
+        assert not hit(0.5)
+        assert all(hit(a) for a in [alphas[10]] + alphas[12:])
+        assert not any(hit(a) for a in alphas[:10] + [alphas[11]])
 
-    def test_repeated_key_returns_identical_float(self, monkeypatch):
-        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+    def test_repeated_key_returns_identical_float(self):
+        stats._lambda_threshold.cache_clear()
         first = lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=4)
         assert lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=4) is first
 
-    def test_bad_seed_raises_before_the_cache_lookup(self, monkeypatch):
-        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+    def test_bad_seed_raises_before_the_cache_lookup(self):
+        stats._lambda_threshold.cache_clear()
         one = lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200, seed=1)
         # True == 1 and hash(True) == hash(1): the lookup alone would answer
         for bad in (True, 1.0, 2.5):
@@ -472,8 +542,8 @@ class TestLambdaMinCache:
         assert lambda_min(self.P0, self.PA, N=3, alpha=0.05, trials=200,
                           seed=np.int64(1)) is one
 
-    def test_bad_count_raises_before_the_cache_lookup(self, monkeypatch):
-        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+    def test_bad_count_raises_before_the_cache_lookup(self):
+        stats._lambda_threshold.cache_clear()
         lambda_min(self.P0, self.PA, N=1, alpha=0.05, trials=200, seed=3)
         # True == 1.0 == 1 and 200.0 == 200: the lookup alone would answer
         for bad in (dict(N=True), dict(N=1.0), dict(trials=200.0)):
@@ -482,7 +552,7 @@ class TestLambdaMinCache:
                 lambda_min(self.P0, self.PA, alpha=0.05, seed=3, **args)
 
     def test_control_run_reuses_thresholds(self, monkeypatch):
-        monkeypatch.setattr(stats, "_lambda_min_cache", {})
+        stats._lambda_threshold.cache_clear()
         kwargs = dict(alpha=0.01, trials=150, seed=8, lambda_trials=1000)
         distinction_success_rate(P350, W1_OBSERVABLES, [10, 30], **kwargs)
         calls = []
