@@ -262,7 +262,7 @@ EQUALITY_CASES = {
 @pytest.mark.parametrize("build, by_content", EQUALITY_CASES.values(),
                          ids=EQUALITY_CASES.keys())
 def test_compared_by_content_or_identity(build, by_content):
-    # array fields made == raise ValueError and hash() raise TypeError
+    # compared by their array fields, == raised ValueError and hash() TypeError
     a, b = build(), build()
     assert a == a and hash(a) == hash(a)
     assert (a == b) is by_content and (a != b) is not by_content
