@@ -2,7 +2,9 @@
 reproduce the recorded sha256 of each output file byte for byte. One more
 case runs ``loophole`` at the options of the ``loophole`` benchmark
 workload: 16 restarts of up to 30 SLSQP iterations each, and one more at the
-same options with seed 33, whose incumbent comes from restart 11.
+same options with seed 33, whose incumbent comes from restart 11. One more
+runs ``scan-witness`` at the ``scan`` benchmark workload's grid: 4,801 points
+at four dephasing rates, twelve tables of 4,801 rows.
 
 The scenario is the 350 um, gamma = 0.3 1/s point, where every command
 succeeds (``differential`` exits 3 at the default scenario). The digests were
@@ -116,6 +118,40 @@ LOOPHOLE_LATE_WINNER_GOLDEN = {
 }
 
 
+#: the ``scan`` benchmark workload's grid, whose tables are far longer than
+#: any other command's
+SCAN_BENCHMARK_CONFIG = {
+    "scenario": CONFIG["scenario"],
+    "scan": {"gammas": [0.0, 0.03, 0.1, 0.3], "tau_max": 30.0, "points": 4801},
+}
+SCAN_BENCHMARK_GOLDEN = {
+    "negativity_gamma0.03.csv":
+        "cc70fcc8dc357cdceb89c2038043af1d58080bec29c27cc9a2307a0f71910768",
+    "negativity_gamma0.1.csv":
+        "d610032f3ac07c28fb89a0f4fc4793381109cf107b5becb92f4ea6eea7a7d365",
+    "negativity_gamma0.3.csv":
+        "fabcac0c03016e04234296038921eca0ca0a3de2b749d2879ad0cd29cbc8f5af",
+    "negativity_gamma0.csv":
+        "787a5aaae67f345c4d510075a2cd7fa99c5cd01f993bd8dcd0fab6c911438977",
+    "witness_w0_gamma0.03.csv":
+        "eb75c1a06c3f20c29a49956d33be2280d6d80cbb3864d48dbfdebe30734ba170",
+    "witness_w0_gamma0.1.csv":
+        "db1e1aec1ecf8f86080bd7c42d6b87db59d8d24fd43897a0e9236410a9b7aac1",
+    "witness_w0_gamma0.3.csv":
+        "cefbef772a46bf82f61c931feb5a4bb0f4401e815b7d646444c8accb7832bba7",
+    "witness_w0_gamma0.csv":
+        "6830b83a0fb29bd9a71bdf65c2e9300825cde3b15eeb9883be1c57a18349e226",
+    "witness_w1_gamma0.03.csv":
+        "a2341823b28098a5aa2e43667b95d1a97d29b927398c07cbafb9f95e0ef17d79",
+    "witness_w1_gamma0.1.csv":
+        "d8ffb434096973ce2f98805b82335209a67eaf1904c36d12a77d71cd37b92707",
+    "witness_w1_gamma0.3.csv":
+        "889293f3688d9cc6c8a5567ab7f7413102a76065cb5f7edcee5335450e72feaa",
+    "witness_w1_gamma0.csv":
+        "e4600360a9ce677debf517f83d39d2ae3fcb170265dcea57ca030ca09065f89e",
+}
+
+
 def run_digests(command: str, tmp_path, config: dict = CONFIG, seed: int = 0) -> dict:
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
@@ -144,3 +180,8 @@ def test_loophole_at_benchmark_shape(tmp_path):
 def test_loophole_at_benchmark_shape_late_winner(tmp_path):
     assert run_digests("loophole", tmp_path, LOOPHOLE_BENCHMARK_CONFIG,
                        LOOPHOLE_LATE_WINNER_SEED) == LOOPHOLE_LATE_WINNER_GOLDEN
+
+
+def test_scan_at_benchmark_shape(tmp_path):
+    assert run_digests("scan-witness", tmp_path, SCAN_BENCHMARK_CONFIG) == \
+        SCAN_BENCHMARK_GOLDEN
