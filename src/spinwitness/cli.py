@@ -7,10 +7,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,12 @@ from . import loophole as lh
 from . import model, stats, tomography, witnesses
 from .qstate import negativity
 
-_G = "{:.12g}".format
+#: every float cell of the CSV tables, and _G for one value: 12 significant digits
+_FLOAT = "%.12g"
+_G = _FLOAT.__mod__
+
+#: rows filled per formatting pass of _write_table
+_CHUNK = 1024
 
 
 def _load_config(path: str | None) -> dict:
@@ -61,53 +66,51 @@ def _section(config: dict, name: str, defaults: dict, trials_override) -> dict:
     return {k: _typed(v, defaults[k], f"{name}.{k}") for k, v in opts.items()}
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One output table: the header line, then one line per row, each float
-    already formatted by _G."""
+def _write_table(path: Path, header: str, row: str, *columns) -> None:
+    """One output table: the header line, then the printf template ``row``
+    (``_FLOAT`` floats, ``%d`` counts, ``%s`` labels, the cells constant
+    within the table already written in) once per entry of ``columns``. Each
+    ``%`` pass fills ``_CHUNK`` rows from Python values. Lines end in CRLF,
+    as ``csv.writer`` wrote them."""
+    line = row + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header.split(","))
-        writer.writerows(rows)
+        fh.write(header + "\r\n")
+        for start in range(0, len(columns[0]), _CHUNK):
+            cells = [c[start:start + _CHUNK] for c in columns]
+            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+            fh.write(line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
-def _write_scan(path: Path, tau_cells: list, values, gamma_cell: str) -> None:
-    """One scan table: the tau cells already formatted by _G, the values,
-    and the formatted gamma cell."""
-    _write_csv(path, "tau_s,value,gamma",
-               ([t, _G(v), gamma_cell] for t, v in zip(tau_cells, values)))
-
-
-def _write_rates(path: Path, report: stats.SuccessRateReport,
-                 p: model.ScenarioParams, opts: dict) -> None:
-    tail = [opts["trials"], _G(p.dephasing_gamma), _G(p.separation_d)]
-    _write_csv(path, "total_measurements,rate,lambda_min,trials,gamma,d_m",
-               ([n, _G(rate), _G(lmin), *tail] for n, rate, lmin in
-                zip(report.shots_axis, report.rates, report.lambda_min_used)))
+def _rates_table(report: stats.SuccessRateReport, p: model.ScenarioParams, opts: dict):
+    """The header, row template and columns of a success-rate table."""
+    return ("total_measurements,rate,lambda_min,trials,gamma,d_m",
+            f"%d,{_FLOAT},{_FLOAT},{opts['trials']},{_G(p.dephasing_gamma)},"
+            f"{_G(p.separation_d)}",
+            report.shots_axis, report.rates, report.lambda_min_used)
 
 
 def cmd_pea(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
-    rows = []
-    for tau in opts["taus"]:
-        r = model.pea_corrections(p, tau)
-        rows.append([_G(x) for x in (tau, r.theta_magnitude, r.phase_correction,
-                                     r.decoherence_factor_zeroT,
-                                     r.decoherence_factor_thermal, r.kappa)])
-    _write_csv(out / "pea.csv", "tau_s,theta_magnitude,phase_correction_rad,"
-               "factor_zero_temperature,factor_thermal,kappa", rows)
+    rows = [(tau, *astuple(model.pea_corrections(p, tau))) for tau in opts["taus"]]
+    _write_table(out / "pea.csv", "tau_s,theta_magnitude,phase_correction_rad,"
+                 "factor_zero_temperature,factor_thermal,kappa",
+                 ",".join([_FLOAT] * 6), *zip(*rows))
 
 
 def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
+    tags = [_G(gamma) for gamma in opts["gammas"]]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"scan.gammas must differ in their file name tags, got {tags}")
     with np.errstate(invalid="ignore"):  # an infinite tau_max fails in spin_state
         taus = np.linspace(0.0, opts["tau_max"], opts["points"])
-    tau_cells = [_G(t) for t in taus]
-    for gamma in opts["gammas"]:
+    tau_cells = [_G(t) for t in taus.tolist()]  # formatted once: every table has them
+    for gamma, tag in zip(opts["gammas"], tags):
         pg = replace(p, dephasing_gamma=gamma)
-        tag, gamma_cell = _G(gamma), _G(pg.dephasing_gamma)
+        row = f"%s,{_FLOAT},{_G(pg.dephasing_gamma)}"
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
-            _write_scan(out / f"witness_{name}_gamma{tag}.csv", tau_cells,
-                        witnesses.witness_scan(pg, w, taus).values, gamma_cell)
-        _write_scan(out / f"negativity_gamma{tag}.csv", tau_cells,
-                    negativity(model.spin_state(pg, taus)), gamma_cell)
+            _write_table(out / f"witness_{name}_gamma{tag}.csv", "tau_s,value,gamma", row,
+                         tau_cells, witnesses.witness_scan(pg, w, taus).values)
+        _write_table(out / f"negativity_gamma{tag}.csv", "tau_s,value,gamma", row,
+                     tau_cells, negativity(model.spin_state(pg, taus)))
 
 
 def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
@@ -115,39 +118,38 @@ def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> No
         p, witnesses.W1_OBSERVABLES, opts["shots_per_observable"],
         opts["alpha"], opts["trials"], seed, lambda_trials=opts["lambda_trials"],
         data_from="null" if opts["control"] else "alt")
-    _write_rates(out / "success.csv", report, p, opts)
+    _write_table(out / "success.csv", *_rates_table(report, p, opts))
 
 
 def cmd_witneg(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     report = stats.witness_negative_probability(
         p, opts["shots_per_observable"], opts["trials"], seed)
-    _write_rates(out / "witneg.csv", report, p, opts)
+    _write_table(out / "witneg.csv", *_rates_table(report, p, opts))
 
 
 def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     report = stats.differential_success_rate(
         p, opts["shots_per_observable"], opts["alpha"], opts["trials"], seed,
         lambda_trials=opts["lambda_trials"])
-    _write_rates(out / "differential.csv", report, p, opts)
+    _write_table(out / "differential.csv", *_rates_table(report, p, opts))
     (out / "differential_meta.json").write_text(json.dumps(
         {"tau_s": float(_G(report.tau)),
          "matched_cp_scale": float(_G(report.matched_cp_scale))}))
 
 
 def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
-    trials = opts["trials"]
-    rows = []
-    for total in opts["totals"]:
-        rate = tomography.negativity_exceedance(p, total, trials, seed)
-        rows.append([total, _G(rate), trials, _G(p.dephasing_gamma), _G(p.separation_d)])
-    _write_csv(out / "tomo_exceedance.csv", "total_shots,rate,trials,gamma,d_m", rows)
+    trials, shots = opts["trials"], opts["batch_shots"]
+    rates = [tomography.negativity_exceedance(p, total, trials, seed)
+             for total in opts["totals"]]
+    _write_table(out / "tomo_exceedance.csv", "total_shots,rate,trials,gamma,d_m",
+                 f"%d,{_FLOAT},{trials},{_G(p.dephasing_gamma)},{_G(p.separation_d)}",
+                 opts["totals"], rates)
     for hyp in ("alt", "null"):
         negs, fids = tomography.reconstruction_batch(
-            p, opts["batch_shots"], opts["batch_trials"], seed, hypothesis=hyp)
-        _write_csv(out / f"tomo_batch_{hyp}.csv",
-                   "shots,hypothesis,trial,negativity,fidelity_to_truth",
-                   ([opts["batch_shots"], hyp, t, _G(neg), _G(fid)]
-                    for t, (neg, fid) in enumerate(zip(negs, fids))))
+            p, shots, opts["batch_trials"], seed, hypothesis=hyp)
+        _write_table(out / f"tomo_batch_{hyp}.csv",
+                     "shots,hypothesis,trial,negativity,fidelity_to_truth",
+                     f"{shots},{hyp},%d,{_FLOAT},{_FLOAT}", range(len(negs)), negs, fids)
 
 
 def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
@@ -158,9 +160,7 @@ def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> N
     rho_0 = model.spin_state(p.with_hypothesis(False), tau)
     data = stats.simulate_measurements(rho_a, witnesses.W1_OBSERVABLES,
                                        opts["shots_per_observable"], seed)
-    cfg = lh.OptimizationConfig(
-        max_iterations=opts["max_iterations"], gradient_step=opts["gradient_step"],
-        constraint_margin=opts["constraint_margin"], restarts=opts["restarts"])
+    cfg = lh.OptimizationConfig(**{k: opts[k] for k in _SEARCH_DEFAULTS})
     result = lh.find_loophole_state(data, rho_0, cfg, seed)
     verification = lh.verify_loophole(result, rho_a, rho_0, data)
     payload = {
@@ -173,6 +173,9 @@ def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> N
     }
     (out / "loophole.json").write_text(json.dumps(payload, indent=2))
 
+
+#: the loophole search options, at the defaults of OptimizationConfig
+_SEARCH_DEFAULTS = asdict(lh.OptimizationConfig())
 
 _COMMANDS = {
     "pea": (cmd_pea, {"taus": [0.0, 1.0, 10.0]}),
@@ -193,9 +196,7 @@ _COMMANDS = {
              {"totals": [9, 90, 900, 9000], "trials": 1000,
               "batch_shots": 90, "batch_trials": 100}),
     "loophole": (cmd_loophole,
-                 {"shots_per_observable": 1000, "restarts": 32,
-                  "constraint_margin": 1e-4, "gradient_step": 1e-6,
-                  "max_iterations": 150, "tau": None}),
+                 {"shots_per_observable": 1000, **_SEARCH_DEFAULTS, "tau": None}),
 }
 
 _SECTION_NAME = {"scan-witness": "scan"}

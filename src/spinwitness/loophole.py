@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 from .qstate import (_L_COLS, _L_ROWS, MeasurementSetup, _cholesky_factor,
                      check_density_matrix, cholesky_to_state, negativity,
                      partial_transpose, state_to_cholesky_angles)
-from .stats import _count_rows, _is_count, trial_rng
+from .stats import _STREAM_TAGS, _count_rows, _is_count, trial_rng
 from .tomography import mle_reconstruct
 from .witnesses import W1_OBSERVABLES
 
@@ -28,7 +28,6 @@ __all__ = [
     "verify_loophole",
 ]
 
-_TAG_RESTART = 21
 _LT_FLAT = 4 * _L_COLS + _L_ROWS  # where l_m sits in a flattened transpose
 
 #: reference loophole state for the 350 um, gamma = 0.3 s^-1, tau = 0.34 s
@@ -213,7 +212,7 @@ def find_loophole_state(n, rho_null: np.ndarray,
 
     starts = [state_to_cholesky_angles(mle_reconstruct(counts, setup)[0])]
     for r in range(cfg.restarts - 1):
-        rng = trial_rng(seed, (_TAG_RESTART,), r)
+        rng = trial_rng(seed, (_STREAM_TAGS["restart"],), r)
         starts.append(rng.uniform(0.0, np.pi, 15))
 
     records = []

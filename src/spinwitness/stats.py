@@ -41,11 +41,11 @@ __all__ = [
     "trial_rng",
 ]
 
-# substream tags: one per data-generating role
-_TAG_SIMULATE = 1
-_TAG_NULL = 2
-_TAG_ALT = 3
-_TAG_WITNEG = 4
+#: the Monte Carlo stream tag of each data-generating role in the package
+#: (stats, tomography's exceedance and batches, the loophole search's random
+#: starts): a stream is named by ``(seed, tag, ...)``, so no two roles share one
+_STREAM_TAGS = {"simulate": 1, "null": 2, "alt": 3, "witneg": 4, "tomo_null": 11,
+                "tomo_alt": 12, "batch_alt": 13, "batch_null": 14, "restart": 21}
 
 
 #: entries kept by the stream-words and lambda_min caches (least recently
@@ -180,7 +180,7 @@ def simulate_measurements(rho: np.ndarray, observables, N: int, seed: int) -> np
     """One multinomial draw of N outcomes per observable, as an int64 count
     row; deterministic in seed."""
     pv = outcome_probabilities(rho, observables)
-    return _draw_counts(pv, N, seed, (_TAG_SIMULATE,), 1)[0]
+    return _draw_counts(pv, N, seed, (_STREAM_TAGS["simulate"],), 1)[0]
 
 
 def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector):
@@ -230,7 +230,8 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _lambda_threshold(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int,
                       alpha: float, trials: int, seed: int) -> float:
-    lam0 = log_likelihood_ratio(_draw_counts(p_0, N, seed, (_TAG_NULL, N), trials), p_a, p_0)
+    counts = _draw_counts(p_0, N, seed, (_STREAM_TAGS["null"], N), trials)
+    lam0 = log_likelihood_ratio(counts, p_a, p_0)
     with np.errstate(invalid="ignore"):
         value = float(np.percentile(lam0, 100.0 * (1.0 - alpha)))
     if math.isnan(value):
@@ -270,7 +271,7 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     rates, lmins = [], []
     for N in shots_per_observable:
         lmin = lambda_min(p_0, p_a, N, alpha, lambda_trials, seed)
-        lam = log_likelihood_ratio(_draw_counts(p_data, N, seed, (_TAG_ALT, N), trials),
+        lam = log_likelihood_ratio(_draw_counts(p_data, N, seed, (_STREAM_TAGS["alt"], N), trials),
                                    p_a, p_0)
         rates.append(float(np.mean(lam >= lmin)))
         lmins.append(lmin)
@@ -314,7 +315,7 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
     signs = eigenbasis(W1_OBSERVABLES[0]).eigenvalues  # (+,-,-,+) for all three
     rates = []
     for N in shots_per_observable:
-        counts = _draw_counts(pv, N, seed, (_TAG_WITNEG, N), trials)
+        counts = _draw_counts(pv, N, seed, (_STREAM_TAGS["witneg"], N), trials)
         means = (counts.reshape(trials, -1, 4) * signs).sum(axis=2) / N
         estimate = 1.0 - means.sum(axis=1)
         rates.append(float(np.mean(estimate < 0.0)))

@@ -7,7 +7,7 @@ import numpy as np
 
 from .model import ScenarioParams, spin_state
 from .qstate import MeasurementSetup, fidelity, negativity
-from .stats import _count_rows, _draw_counts, _is_count, outcome_probabilities
+from .stats import _STREAM_TAGS, _count_rows, _draw_counts, _is_count, outcome_probabilities
 from .witnesses import optimal_fall_time
 
 __all__ = [
@@ -19,10 +19,6 @@ __all__ = [
 
 #: the 9 informationally complete pairs with both factors in X/Y/Z
 TOMOGRAPHY_OBSERVABLES = tuple((a, b) for a in "XYZ" for b in "XYZ")
-
-_TAG_TOMO_NULL = 11
-_TAG_TOMO_ALT = 12
-_TAG_FID = 13
 
 
 def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
@@ -80,9 +76,9 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
     setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
     tau = optimal_fall_time(p).tau
     counts_a = _tomo_counts(spin_state(p.with_hypothesis(True), tau), N, seed,
-                            _TAG_TOMO_ALT, trials)
+                            _STREAM_TAGS["tomo_alt"], trials)
     counts_0 = _tomo_counts(spin_state(p.with_hypothesis(False), tau), N, seed,
-                            _TAG_TOMO_NULL, trials)
+                            _STREAM_TAGS["tomo_null"], trials)
     neg_a = negativity(mle_reconstruct(counts_a, setup))
     neg_0 = negativity(mle_reconstruct(counts_0, setup))
     threshold = np.sort(neg_0)[int(np.ceil(0.99 * trials)) - 1]
@@ -101,7 +97,6 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     N = _check_total(shots_per_tomography)
     tau = optimal_fall_time(p).tau
     rho = spin_state(p.with_hypothesis(hypothesis == "alt"), tau)
-    tag = _TAG_FID if hypothesis == "alt" else _TAG_FID + 1
-    counts = _tomo_counts(rho, N, seed, tag, trials)
+    counts = _tomo_counts(rho, N, seed, _STREAM_TAGS[f"batch_{hypothesis}"], trials)
     rec = mle_reconstruct(counts, MeasurementSetup(TOMOGRAPHY_OBSERVABLES))
     return negativity(rec), fidelity(rec, rho)

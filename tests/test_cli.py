@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwitness.cli import _COMMANDS, _G, _SECTION_NAME, main
+from spinwitness.cli import (_CHUNK, _COMMANDS, _FLOAT, _G, _SECTION_NAME, _write_table,
+                             main)
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import check_density_matrix, negativity
 from spinwitness.witnesses import w0, w1, witness_expectation
@@ -152,6 +153,73 @@ class TestScan:
                 assert lines[1:] == [
                     f"{_G(t)},{_G(witness_expectation(pg, t, spec))},{_G(gamma)}"
                     for t in taus]
+
+
+#: the float format of every output cell up to v0.1.0, one value at a time
+REFERENCE_G = "{:.12g}".format
+
+#: signed zeros, infinities, NaN, the subnormal range, the largest double,
+#: and both sides of %g's switches to exponent notation (below 1e-4, and
+#: from 12 integer digits on, also where rounding carries into the 13th)
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  1e-4, 9.9999999999999e-5, 9.99999999999949e-5, 9.99999999999951e-5,
+                  -1e-4, 1e-5, 999999999999.0, 999999999999.4, 999999999999.5,
+                  1e12, -1e12, 1e11, 123456789012.5, 0.1, 1 / 3, 2.5e-13]
+
+
+def reference_table(header: str, rows) -> bytes:
+    """A table as v0.1.0 wrote it: csv.writer over cells formatted one by one."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestTableWriter:
+    def test_float_cells_equal_the_reference_format(self, tmp_path):
+        values = np.array(SPECIAL_FLOATS)
+        _write_table(tmp_path / "t.csv", "a,b,c,d", f"{_FLOAT},{_FLOAT},{_FLOAT},%d",
+                     values, list(values), SPECIAL_FLOATS, range(len(values)))
+        assert (tmp_path / "t.csv").read_bytes() == reference_table(
+            "a,b,c,d", ([REFERENCE_G(x)] * 3 + [i] for i, x in enumerate(SPECIAL_FLOATS)))
+        for x in SPECIAL_FLOATS:
+            assert _G(x) == _G(np.float64(x)) == REFERENCE_G(x)
+
+    def test_int64_cells_equal_the_reference_format(self, tmp_path):
+        counts = np.array([0, 1, -7, 10**12, 2**53 + 1, 2**63 - 1, -2**63], dtype=np.int64)
+        _write_table(tmp_path / "t.csv", "n,m", "%d,%d", counts, list(counts))
+        assert (tmp_path / "t.csv").read_bytes() == reference_table(
+            "n,m", ([n, n] for n in counts))
+
+    @settings(max_examples=2000)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_float_template_equals_the_reference_format(self, x):
+        assert _FLOAT % x == _FLOAT % np.float64(x) == REFERENCE_G(x)
+
+    def test_lines_end_in_crlf_and_read_back_as_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_table(path, "shots,hypothesis,trial,value", f"90,alt,%d,{_FLOAT}",
+                     range(3), np.array([0.5, -1e-20, math.inf]))
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) == 5
+        assert not any(b"\n" in line or b"\r" in line for line in lines)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{"shots": "90", "hypothesis": "alt", "trial": str(t), "value": v}
+                        for t, v in enumerate(["0.5", "-1e-20", "inf"])]
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_chunked_table_equals_row_by_row_reference(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        taus = [_G(t) for t in np.linspace(0.0, 30.0, n)]
+        _write_table(tmp_path / "t.csv", "tau_s,trial,value,gamma", f"%s,%d,{_FLOAT},0.03",
+                     taus, range(n), values)
+        assert (tmp_path / "t.csv").read_bytes() == reference_table(
+            "tau_s,trial,value,gamma",
+            ([t, i, REFERENCE_G(v), "0.03"] for i, (t, v) in enumerate(zip(taus, values))))
 
 
 class TestMonteCarloCommands:
@@ -342,6 +410,15 @@ class TestErrors:
                     "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("gammas", [[0.1, 0.1000000000001], [0.03, 0.0, 0.03]])
+    def test_gammas_sharing_a_file_name_exit_2(self, tmp_path, capsys, gammas):
+        # a file is named by gamma's 12-digit tag; equal tags would overwrite
+        cfg = write_config(tmp_path, {"scan": {"gammas": gammas, "points": 5}})
+        out = tmp_path / "x"
+        assert run(["scan-witness", "--config", cfg, "--out", str(out)]) == 2
+        assert "scan.gammas must differ in their file name tags" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_trials_override_is_checked(self, tmp_path, capsys):
         assert run(["witneg", "--trials", "0", "--out", str(tmp_path / "x")]) == 2

@@ -1,5 +1,7 @@
 import math
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,17 +122,25 @@ def reference_rng(seed, tags, t):
     return np.random.Generator(np.random.PCG64(seq).jumped(t))
 
 
+TAG = stats._STREAM_TAGS
 # every tag in use, with the shot count N where the stream is per N
-STREAM_TAGS = [(stats._TAG_SIMULATE,), (stats._TAG_NULL, 100), (stats._TAG_ALT, 33),
-               (stats._TAG_WITNEG, 1000), (tomography._TAG_TOMO_ALT, 1),
-               (tomography._TAG_TOMO_NULL, 1000), (tomography._TAG_FID, 10),
-               (tomography._TAG_FID + 1, 10), (loophole._TAG_RESTART,)]
+STREAM_TAGS = [(TAG["simulate"],), (TAG["null"], 100), (TAG["alt"], 33),
+               (TAG["witneg"], 1000), (TAG["tomo_alt"], 1), (TAG["tomo_null"], 1000),
+               (TAG["batch_alt"], 10), (TAG["batch_null"], 10), (TAG["restart"],)]
 RNG_POINTS = [(seed, tags, t) for seed, t in ((0, 0), (3, 1), (95003, 2**40 + 3))
               for tags in STREAM_TAGS] + [
-    (np.int64(7), (np.int32(stats._TAG_NULL), np.int64(333)), np.int64(12)),
-    (np.uint32(2), (stats._TAG_ALT, 2000), np.uint64(123456)),
-    (2**40, (loophole._TAG_RESTART,), 31),
+    (np.int64(7), (np.int32(TAG["null"]), np.int64(333)), np.int64(12)),
+    (np.uint32(2), (TAG["alt"], 2000), np.uint64(123456)),
+    (2**40, (TAG["restart"],), 31),
 ]
+
+
+def test_stream_tags_are_distinct_and_listed_in_the_readme():
+    # two roles with one tag would draw the same counts
+    assert len(set(TAG.values())) == len(TAG) == len(STREAM_TAGS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Stream tags.*?\n\n", readme, re.S).group(0)
+    assert {name: int(tag) for tag, name in re.findall(r"(\d+) `(\w+)`", listed)} == TAG
 
 
 class TestTrialRng:
@@ -144,16 +154,16 @@ class TestTrialRng:
         assert fast.bit_generator.state == ref.bit_generator.state
 
     def test_generators_of_one_stream_are_independent(self):
-        a, b = trial_rng(5, (stats._TAG_NULL, 10), 4), trial_rng(5, (stats._TAG_NULL, 10), 4)
+        a, b = trial_rng(5, (TAG["null"], 10), 4), trial_rng(5, (TAG["null"], 10), 4)
         assert a.bit_generator is not b.bit_generator
         before = b.bit_generator.state
         a.standard_normal(100)
         assert b.bit_generator.state == before
         assert np.array_equal(b.standard_normal(3),
-                              reference_rng(5, (stats._TAG_NULL, 10), 4).standard_normal(3))
+                              reference_rng(5, (TAG["null"], 10), 4).standard_normal(3))
 
     def test_stream_words_refuse_other_requests(self):
-        words = stats._stream_words((1, stats._TAG_ALT, 10))
+        words = stats._stream_words((1, TAG["alt"], 10))
         assert words.generate_state(4, np.uint64).dtype == np.uint64
         with pytest.raises(RuntimeError):
             words.generate_state(8, np.uint64)
