@@ -53,17 +53,15 @@ def _typed(value, default, where: str):
     raise ValueError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
-def _section(config: dict, name: str, defaults: dict, trials_override) -> dict:
+def _section(config: dict, name: str, defaults: dict) -> dict:
+    """Config section ``name`` over ``defaults``, each value of its default's type."""
     given = config.get(name, {})
     if type(given) is not dict:
         raise ValueError(f"config section {name} must be a JSON object")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {name} options: {sorted(unknown)}")
-    opts = {**defaults, **given}
-    if trials_override is not None and "trials" in opts:
-        opts["trials"] = trials_override
-    return {k: _typed(v, defaults[k], f"{name}.{k}") for k, v in opts.items()}
+    return {k: _typed(given.get(k, d), d, f"{name}.{k}") for k, d in defaults.items()}
 
 
 def _write_table(path: Path, header: str, row: str, *columns) -> None:
@@ -100,11 +98,11 @@ def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
     tags = [_G(gamma) for gamma in opts["gammas"]]
     if len(set(tags)) < len(tags):
         raise ValueError(f"scan.gammas must differ in their file name tags, got {tags}")
+    scenarios = [replace(p, dephasing_gamma=gamma) for gamma in opts["gammas"]]
     with np.errstate(invalid="ignore"):  # an infinite tau_max fails in spin_state
         taus = np.linspace(0.0, opts["tau_max"], opts["points"])
     tau_cells = [_G(t) for t in taus.tolist()]  # formatted once: every table has them
-    for gamma, tag in zip(opts["gammas"], tags):
-        pg = replace(p, dephasing_gamma=gamma)
+    for pg, tag in zip(scenarios, tags):
         row = f"%s,{_FLOAT},{_G(pg.dephasing_gamma)}"
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
             _write_table(out / f"witness_{name}_gamma{tag}.csv", "tau_s,value,gamma", row,
@@ -141,12 +139,13 @@ def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     trials, shots = opts["trials"], opts["batch_shots"]
     rates = [tomography.negativity_exceedance(p, total, trials, seed)
              for total in opts["totals"]]
+    batches = {hyp: tomography.reconstruction_batch(p, shots, opts["batch_trials"], seed,
+                                                    hypothesis=hyp)
+               for hyp in ("alt", "null")}
     _write_table(out / "tomo_exceedance.csv", "total_shots,rate,trials,gamma,d_m",
                  f"%d,{_FLOAT},{trials},{_G(p.dephasing_gamma)},{_G(p.separation_d)}",
                  opts["totals"], rates)
-    for hyp in ("alt", "null"):
-        negs, fids = tomography.reconstruction_batch(
-            p, shots, opts["batch_trials"], seed, hypothesis=hyp)
+    for hyp, (negs, fids) in batches.items():
         _write_table(out / f"tomo_batch_{hyp}.csv",
                      "shots,hypothesis,trial,negativity,fidelity_to_truth",
                      f"{shots},{hyp},%d,{_FLOAT},{_FLOAT}", range(len(negs)), negs, fids)
@@ -174,7 +173,8 @@ def cmd_loophole(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> N
     (out / "loophole.json").write_text(json.dumps(payload, indent=2))
 
 
-#: the loophole search options, at the defaults of OptimizationConfig
+#: the scenario fields and the loophole search options, at their dataclass defaults
+_SCENARIO_DEFAULTS = asdict(model.ScenarioParams())
 _SEARCH_DEFAULTS = asdict(lh.OptimizationConfig())
 
 _COMMANDS = {
@@ -213,8 +213,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="override the configured trial count")
     args = parser.parse_args(argv)
 
     try:
@@ -222,10 +220,9 @@ def main(argv=None) -> int:
         unknown = set(config) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-        scenario = model.ScenarioParams.from_dict(config.get("scenario", {}))
+        scenario = model.ScenarioParams(**_section(config, "scenario", _SCENARIO_DEFAULTS))
         func, defaults = _COMMANDS[args.command]
-        section = _SECTION_NAME.get(args.command, args.command)
-        opts = _section(config, section, defaults, args.trials)
+        opts = _section(config, _SECTION_NAME.get(args.command, args.command), defaults)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, TypeError, OverflowError) as exc:

@@ -102,15 +102,6 @@ class ScenarioParams:
         if self.separation_d - 2 * self.half_split_delta <= 0:
             raise ValueError("branches touch: separation_d - 2*half_split_delta <= 0")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioParams":
-        if not isinstance(data, dict):
-            raise ValueError("config section scenario must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        return cls(**data)
-
     def with_hypothesis(self, gravity_on: bool, cp_scale: float | None = None) -> "ScenarioParams":
         """Copy with the interaction flags of a hypothesis."""
         kwargs = {"gravity_on": gravity_on}

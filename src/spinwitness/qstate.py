@@ -13,8 +13,7 @@ import numpy as np
 
 __all__ = [
     "PAULI",
-    "PauliObservable",
-    "MeasurementBasis",
+    "OUTCOME_SIGNS",
     "MeasurementSetup",
     "pauli_tensor",
     "eigenbasis",
@@ -43,8 +42,9 @@ _EIGVECS = {
     "Z": np.array([[1, 0], [0, 1]], dtype=complex),
 }
 
-#: a bipartite Pauli observable, e.g. ("X", "Z")
-PauliObservable = tuple
+#: the eigenvalue of each outcome of an ``eigenbasis``: the products of the
+#: single-qubit signs (+,+), (+,-), (-,+), (-,-)
+OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _check_obs(obs) -> None:
@@ -57,28 +57,18 @@ def _check_obs(obs) -> None:
 _PAULI_TENSORS = {(a, b): np.kron(PAULI[a], PAULI[b]) for a in PAULI for b in PAULI}
 
 
-def pauli_tensor(obs: PauliObservable) -> np.ndarray:
+def pauli_tensor(obs: tuple) -> np.ndarray:
     """Kronecker product of the two single-qubit Paulis named by ``obs``, as
     a fresh array the caller may write to."""
     _check_obs(obs)
     return _PAULI_TENSORS[obs[0], obs[1]].copy()
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Rank-1 eigenprojectors of a bipartite Pauli pair.
-
-    ``projectors`` has shape (4, 4, 4); outcome j projects onto the product
-    of single-qubit eigenvectors with signs (+,+), (+,-), (-,+), (-,-), and
-    ``eigenvalues[j]`` is the corresponding product of signs.
-    """
-
-    projectors: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def eigenbasis(obs: PauliObservable) -> MeasurementBasis:
-    """Eigenprojectors and eigenvalues of a two-qubit Pauli observable.
+def eigenbasis(obs: tuple) -> np.ndarray:
+    """The (4, 4, 4) rank-1 eigenprojectors of a two-qubit Pauli observable:
+    outcome j = 2 i + k projects onto the product of single-qubit
+    eigenvectors i and k (0 for +1, 1 for -1), with eigenvalue
+    ``OUTCOME_SIGNS[j]``.
 
     The identity factor is rejected: a degenerate eigenbasis has no
     well-defined four-outcome measurement.
@@ -87,16 +77,8 @@ def eigenbasis(obs: PauliObservable) -> MeasurementBasis:
     left, right = obs
     if "I" in (left, right):
         raise ValueError("eigenbasis requires X/Y/Z on both factors")
-    projs = np.empty((4, 4, 4), dtype=complex)
-    vals = np.empty(4)
-    k = 0
-    for i, si in ((0, 1.0), (1, -1.0)):
-        for j, sj in ((0, 1.0), (1, -1.0)):
-            v = np.kron(_EIGVECS[left][:, i], _EIGVECS[right][:, j])
-            projs[k] = np.outer(v, v.conj())
-            vals[k] = si * sj
-            k += 1
-    return MeasurementBasis(projs, vals)
+    v = (_EIGVECS[left].T[:, None, :, None] * _EIGVECS[right].T[None, :, None, :]).reshape(4, 4)
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -115,7 +97,7 @@ class MeasurementSetup:
 
     def __post_init__(self):
         obs = tuple(self.observables)
-        projs = np.concatenate([eigenbasis(o).projectors for o in obs])
+        projs = np.concatenate([eigenbasis(o) for o in obs])
         rows = _real_coordinates(projs)
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "projectors", projs)
@@ -156,7 +138,7 @@ def _real_coordinates(rho) -> np.ndarray:
     return np.concatenate((flat.real, flat.imag), axis=-1)
 
 
-def expectation(rho: np.ndarray, obs: PauliObservable) -> float:
+def expectation(rho: np.ndarray, obs: tuple) -> float:
     """Tr(rho * sigma) for the bipartite Pauli ``obs``; real for valid states."""
     return float(np.real(np.trace(rho @ pauli_tensor(obs))))
 

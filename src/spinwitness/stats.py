@@ -22,7 +22,7 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.optimize import brentq
 
 from .model import ScenarioParams, spin_state
-from .qstate import MeasurementSetup, eigenbasis
+from .qstate import OUTCOME_SIGNS, MeasurementSetup
 from .witnesses import W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_form
 
 __all__ = [
@@ -312,11 +312,10 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
         tau = optimal_fall_time(p).tau
     rho_a = spin_state(p.with_hypothesis(True), tau)
     pv = outcome_probabilities(rho_a, W1_OBSERVABLES)
-    signs = eigenbasis(W1_OBSERVABLES[0]).eigenvalues  # (+,-,-,+) for all three
     rates = []
     for N in shots_per_observable:
         counts = _draw_counts(pv, N, seed, (_STREAM_TAGS["witneg"], N), trials)
-        means = (counts.reshape(trials, -1, 4) * signs).sum(axis=2) / N
+        means = (counts.reshape(trials, -1, 4) * OUTCOME_SIGNS).sum(axis=2) / N
         estimate = 1.0 - means.sum(axis=1)
         rates.append(float(np.mean(estimate < 0.0)))
     return SuccessRateReport(

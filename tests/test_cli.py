@@ -18,7 +18,7 @@ from spinwitness.cli import (_CHUNK, _COMMANDS, _FLOAT, _G, _SECTION_NAME, _writ
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import check_density_matrix, negativity
 from spinwitness.witnesses import w0, w1, witness_expectation
-from test_golden import CONFIG as GOLDEN_CONFIG, TRIALS as GOLDEN_TRIALS
+from test_golden import CONFIG as GOLDEN_CONFIG
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -58,8 +58,10 @@ MISTYPED = [
      "gradient_step must be finite and > 0"),
     ("loophole", {"loophole": {"gradient_step": 4.0}}, "gradient_step must be "
      "finite and > 0 and < pi"),
-    ("pea", {"scenario": {"gravity_on": "no"}}, "gravity_on must be a bool"),
-    ("pea", {"scenario": {"separation_d": True}}, "separation_d must be a real number"),
+    ("pea", {"scenario": {"gravity_on": "no"}},
+     "scenario.gravity_on must be true or false, got \"no\""),
+    ("pea", {"scenario": {"separation_d": True}},
+     "scenario.separation_d must be a real number, got true"),
 ]
 
 
@@ -324,15 +326,6 @@ class TestMonteCarloCommands:
                                                                            abs=2e-3)
         assert payload["verification"]["passed"] is True
 
-    def test_trials_override(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "scenario": SMALL_SCENARIO,
-            "witneg": {"shots_per_observable": [10], "trials": 999}})
-        out = tmp_path / "ovr"
-        assert run(["witneg", "--config", cfg, "--trials", "50",
-                    "--out", str(out)]) == 0
-        assert ",50," in (out / "witneg.csv").read_text().splitlines()[1]
-
 
 class TestErrors:
     def test_invalid_scenario_exits_2(self, tmp_path):
@@ -369,6 +362,13 @@ class TestErrors:
         cfg = write_config(tmp_path, {"nonsense": {}})
         assert run(["pea", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_unknown_scenario_field_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": {"radius": 1e-6}})
+        out = tmp_path / "x"
+        assert run(["pea", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown scenario options: ['radius']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_option_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"pea": {"tau_list": [1.0]}})
         assert run(["pea", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -378,13 +378,24 @@ class TestErrors:
         bad.write_text("{not json")
         assert run(["pea", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
-    def test_tomo_non_multiple_of_nine_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, {"tomo": {"totals": [100], "trials": 100,
-                                               "batch_shots": 90,
-                                               "batch_trials": 5}})
-        assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        # a table is written only once all its rows are computed
-        assert not (tmp_path / "x" / "tomo_exceedance.csv").exists()
+    def test_tomo_non_multiple_of_nine_exits_2(self, tmp_path, capsys):
+        # no table is written until every table's rows are computed
+        for name, bad in (("totals", {"totals": [100]}), ("batch", {"batch_shots": 10})):
+            cfg = write_config(tmp_path, {"tomo": {"totals": [9], "trials": 100,
+                                                   "batch_shots": 90, "batch_trials": 5,
+                                                   **bad}})
+            out = tmp_path / name
+            assert run(["tomo", "--config", cfg, "--out", str(out)]) == 2
+            assert "must be a positive multiple of 9" in capsys.readouterr().err
+            assert not any(out.iterdir())
+
+    def test_invalid_scan_gamma_writes_nothing(self, tmp_path, capsys):
+        # every gamma's scenario is checked before the first table is written
+        cfg = write_config(tmp_path, {"scan": {"gammas": [0.0, -1.0], "points": 5}})
+        out = tmp_path / "x"
+        assert run(["scan-witness", "--config", cfg, "--out", str(out)]) == 2
+        assert "dephasing_gamma must be >= 0" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_infeasible_loophole_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -420,9 +431,15 @@ class TestErrors:
         assert "scan.gammas must differ in their file name tags" in capsys.readouterr().err
         assert not any(out.iterdir())
 
-    def test_trials_override_is_checked(self, tmp_path, capsys):
-        assert run(["witneg", "--trials", "0", "--out", str(tmp_path / "x")]) == 2
-        assert "witneg.trials must be an integer >= 1, got 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_trials_flag_exits_2(self, tmp_path, capsys, command):
+        # trial counts come from the config file only
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--trials", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def golden_sections():
@@ -430,10 +447,7 @@ def golden_sections():
     sections = {}
     for command, (_, defaults) in _COMMANDS.items():
         name = _SECTION_NAME.get(command, command)
-        opts = {**defaults, **GOLDEN_CONFIG.get(name, {})}
-        if "trials" in opts:
-            opts["trials"] = int(GOLDEN_TRIALS)
-        sections[command] = (name, opts)
+        sections[command] = (name, {**defaults, **GOLDEN_CONFIG.get(name, {})})
     return sections
 
 
@@ -486,3 +500,13 @@ def test_readme_config_block_equals_code_defaults():
     expected.update({_SECTION_NAME.get(c, c): defaults
                      for c, (_, defaults) in _COMMANDS.items()})
     assert json.loads(block) == expected
+
+
+def test_readme_synopsis_lists_the_help_options(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"^spinwitness <command> .*$", readme, re.M).group(0)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[(--[\w-]+)", synopsis) == re.findall(r"\[(--[\w-]+)", usage)

@@ -35,12 +35,12 @@ THREAD_ENV = {name: "1" for name in (
 CONFIG = {
     "scenario": {"separation_d": 350e-6, "dephasing_gamma": 0.3},
     "scan": {"gammas": [0.0, 0.03, 0.3], "points": 121},
-    "success": {"lambda_trials": 500},
-    "differential": {"lambda_trials": 500},
-    "tomo": {"batch_trials": 10},
+    "success": {"trials": 50, "lambda_trials": 500},
+    "witneg": {"trials": 50},
+    "differential": {"trials": 50, "lambda_trials": 500},
+    "tomo": {"trials": 50, "batch_trials": 10},
     "loophole": {"restarts": 2},
 }
-TRIALS = "50"
 
 GOLDEN = {
     "differential": {
@@ -159,7 +159,7 @@ def run_digests(command: str, tmp_path, config: dict = CONFIG, seed: int = 0) ->
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "spinwitness.cli", command, "--config", str(cfg),
-         "--seed", str(seed), "--trials", TRIALS, "--out", str(out)],
+         "--seed", str(seed), "--out", str(out)],
         env={**os.environ, **THREAD_ENV, "PYTHONPATH": path},
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr

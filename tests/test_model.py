@@ -61,17 +61,10 @@ class TestScenarioParams:
         with pytest.raises(ValueError, match=message):
             ScenarioParams(**{name: value})
 
-    def test_from_dict_defaults_and_unknown(self):
-        p = ScenarioParams.from_dict({"separation_d": 350e-6})
-        assert p.separation_d == 350e-6
-        assert p.mass == 1e-14  # untouched default
-        with pytest.raises(ValueError, match="unknown"):
-            ScenarioParams.from_dict({"radius": 1e-6})
-
     def test_json_round_trip(self):
         import json
         p = ScenarioParams(dephasing_gamma=0.3, gravity_on=False)
-        q = ScenarioParams.from_dict(json.loads(json.dumps(dataclasses.asdict(p))))
+        q = ScenarioParams(**json.loads(json.dumps(dataclasses.asdict(p))))
         assert q == p
 
 

@@ -4,8 +4,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinwitness.qstate import (_L_COLS, _L_ROWS, PAULI, MeasurementSetup,
-                                _cholesky_factor, check_density_matrix,
+from spinwitness.qstate import (_EIGVECS, _L_COLS, _L_ROWS, OUTCOME_SIGNS, PAULI,
+                                MeasurementSetup, _cholesky_factor, check_density_matrix,
                                 cholesky_to_state, dephase, eigenbasis,
                                 expectation, fidelity, negativity,
                                 partial_transpose, pauli_tensor,
@@ -56,26 +56,33 @@ class TestEigenbasis:
         for k in range(4):
             expected = np.zeros((4, 4))
             expected[k, k] = 1
-            assert np.allclose(basis.projectors[k], expected)
-        assert np.array_equal(basis.eigenvalues, [1, -1, -1, 1])
+            assert np.allclose(basis[k], expected)
+        assert np.array_equal(OUTCOME_SIGNS, [1, -1, -1, 1])
 
     def test_xx_projects_onto_plus_minus_products(self):
         basis = eigenbasis(("X", "X"))
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         pp = np.kron(plus, plus)
-        assert np.allclose(basis.projectors[0], np.outer(pp, pp.conj()))
+        assert np.allclose(basis[0], np.outer(pp, pp.conj()))
+
+    @pytest.mark.parametrize("obs", [(a, b) for a in "XYZ" for b in "XYZ"])
+    def test_bit_equal_to_kron_outer_products(self, obs):
+        # outcome 2 i + k is the product of eigenvector columns i and k
+        cols = [np.kron(_EIGVECS[obs[0]][:, i], _EIGVECS[obs[1]][:, k])
+                for i in range(2) for k in range(2)]
+        expected = np.array([np.outer(v, v.conj()) for v in cols])
+        assert eigenbasis(obs).tobytes() == expected.tobytes()
 
     def test_completeness_and_idempotence(self):
         for obs in [("X", "Y"), ("Y", "Z"), ("Z", "X")]:
             basis = eigenbasis(obs)
-            assert np.allclose(basis.projectors.sum(axis=0), np.eye(4), atol=1e-12)
-            for proj in basis.projectors:
+            assert np.allclose(basis.sum(axis=0), np.eye(4), atol=1e-12)
+            for proj in basis:
                 assert np.abs(proj @ proj - proj).max() < 1e-10
 
     def test_spectral_decomposition(self):
         for obs in [("X", "X"), ("Y", "X"), ("Z", "Y")]:
-            basis = eigenbasis(obs)
-            rebuilt = np.einsum("k,kij->ij", basis.eigenvalues, basis.projectors)
+            rebuilt = np.einsum("k,kij->ij", OUTCOME_SIGNS, eigenbasis(obs))
             assert np.allclose(rebuilt, pauli_tensor(obs), atol=1e-12)
 
     def test_identity_rejected(self):
@@ -250,8 +257,7 @@ class TestMeasurementSetup:
         assert setup.observables == obs
         assert setup.projectors.shape == (12, 4, 4)
         for i, o in enumerate(obs):
-            assert np.array_equal(setup.projectors[4 * i:4 * i + 4],
-                                  eigenbasis(o).projectors)
+            assert np.array_equal(setup.projectors[4 * i:4 * i + 4], eigenbasis(o))
 
     def test_rejects_identity_factor(self):
         with pytest.raises(ValueError):
