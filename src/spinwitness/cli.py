@@ -47,7 +47,11 @@ def _typed(value, default, where: str):
         return value
     real = type(value) in (int, float)
     if kind in (float, type(None)) and (real or (value is None and default is None)):
-        return float(value) if real else None
+        try:
+            return float(value) if real else None
+        except OverflowError:
+            raise ValueError(f"{where} must be a real number, got an integer too large "
+                             "for a float") from None
     expected = {list: "a non-empty list", bool: "true or false", int: "an integer >= 1",
                 float: "a real number"}.get(kind, "a real number or null")
     raise ValueError(f"{where} must be {expected}, got {json.dumps(value)}")
@@ -106,7 +110,7 @@ def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
         row = f"%s,{_FLOAT},{_G(pg.dephasing_gamma)}"
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
             _write_table(out / f"witness_{name}_gamma{tag}.csv", "tau_s,value,gamma", row,
-                         tau_cells, witnesses.witness_scan(pg, w, taus).values)
+                         tau_cells, witnesses.witness_scan(pg, w, taus))
         _write_table(out / f"negativity_gamma{tag}.csv", "tau_s,value,gamma", row,
                      tau_cells, negativity(model.spin_state(pg, taus)))
 
@@ -137,6 +141,8 @@ def cmd_differential(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
 
 def cmd_tomo(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:
     trials, shots = opts["trials"], opts["batch_shots"]
+    for total in (*opts["totals"], shots):  # before the first reconstruction
+        tomography._check_total(total)
     rates = [tomography.negativity_exceedance(p, total, trials, seed)
              for total in opts["totals"]]
     batches = {hyp: tomography.reconstruction_batch(p, shots, opts["batch_trials"], seed,
@@ -225,7 +231,7 @@ def main(argv=None) -> int:
         opts = _section(config, _SECTION_NAME.get(args.command, args.command), defaults)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError, TypeError, OverflowError) as exc:
+    except (ValueError, OSError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

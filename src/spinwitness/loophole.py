@@ -201,13 +201,20 @@ def find_loophole_state(n, rho_null: np.ndarray,
     point at which the objective was evaluated, so accepted improvements are
     monotone. Ties in likelihood break toward lower negativity. Every
     restart has its ``RestartRecord`` in ``restarts``; a restart whose SLSQP
-    run raised records the exception's ``repr`` as its ``error``.
+    run raised records the exception's ``repr`` as its ``error``. A cap
+    below zero, which no state meets, raises InfeasibleSearchError before
+    any restart.
     """
     if not _is_count(seed, 0):  # trial_rng would run int(seed)'s starts
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     setup = MeasurementSetup(observables)
-    neg_cap = negativity(rho_null) - cfg.constraint_margin
+    neg_null = negativity(rho_null)
+    neg_cap = neg_null - cfg.constraint_margin
     counts = _count_rows([n], len(setup.projectors))
+    if neg_cap + 1e-9 < 0:  # every state fails _Search.consider: negativity >= 0
+        raise InfeasibleSearchError(
+            f"no feasible state exists: constraint negativity <= {neg_cap:.6g} "
+            f"(null {neg_null:.6g}, margin {cfg.constraint_margin:g}) is below zero")
     search = _Search(counts[0], setup, neg_cap, cfg.gradient_step)
 
     starts = [state_to_cholesky_angles(mle_reconstruct(counts, setup)[0])]
@@ -234,7 +241,7 @@ def find_loophole_state(n, rho_null: np.ndarray,
     if search.best is None:
         raise InfeasibleSearchError(
             f"no feasible state found in {cfg.restarts} restarts: constraint "
-            f"negativity <= {neg_cap:.6g} (null {negativity(rho_null):.6g}, "
+            f"negativity <= {neg_cap:.6g} (null {neg_null:.6g}, "
             f"margin {cfg.constraint_margin:g}); "
             f"{sum(r.error is not None for r in records)} restarts raised")
 
@@ -275,12 +282,12 @@ def _reference_state_ok() -> bool:
 
 
 def verify_loophole(result: LoopholeResult, rho_a: np.ndarray,
-                    rho_null: np.ndarray, n,
-                    observables=W1_OBSERVABLES) -> LoopholeVerification:
+                    rho_null: np.ndarray, n) -> LoopholeVerification:
+    """The checks of a search result against W1 witness counts ``n``."""
     neg_null = negativity(rho_null)
     neg_res = negativity(result.state)
-    nll_res = state_neg_log_likelihood(result.state, n, observables)
-    nll_a = state_neg_log_likelihood(rho_a, n, observables)
+    nll_res = state_neg_log_likelihood(result.state, n, W1_OBSERVABLES)
+    nll_a = state_neg_log_likelihood(rho_a, n, W1_OBSERVABLES)
     try:
         check_density_matrix(result.state)
         state_ok = True

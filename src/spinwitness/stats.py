@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -264,9 +264,9 @@ class DifferentialReport(SuccessRateReport):
 
 def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
                        p_0: ProbabilityVector, shots_per_observable, alpha: float,
-                       trials: int, seed: int, lambda_trials: int = 10000):
+                       trials: int, seed: int, lambda_trials: int = 10000) -> SuccessRateReport:
     """Fraction of datasets drawn from ``p_data`` with lambda >= lambda_min,
-    per shot count. Returns (rates, lambda_mins)."""
+    per shot count N, against N times the number of observables."""
     _check_alpha(alpha)
     rates, lmins = [], []
     for N in shots_per_observable:
@@ -275,7 +275,9 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
                                    p_a, p_0)
         rates.append(float(np.mean(lam >= lmin)))
         lmins.append(lmin)
-    return rates, lmins
+    n_obs = p_data.probs.size // 4
+    return SuccessRateReport(shots_axis=tuple(n_obs * int(N) for N in shots_per_observable),
+                             rates=tuple(rates), lambda_min_used=tuple(lmins))
 
 
 def distinction_success_rate(p: ScenarioParams, observables, shots_per_observable,
@@ -294,12 +296,8 @@ def distinction_success_rate(p: ScenarioParams, observables, shots_per_observabl
     p_a = outcome_probabilities(spin_state(p.with_hypothesis(True), tau), observables)
     p_0 = outcome_probabilities(spin_state(p.with_hypothesis(False), tau), observables)
     p_data = p_a if data_from == "alt" else p_0
-    rates, lmins = success_rate_curve(p_data, p_a, p_0, shots_per_observable,
-                                      alpha, trials, seed, lambda_trials)
-    n_obs = len(observables)
-    return SuccessRateReport(
-        shots_axis=tuple(n_obs * int(N) for N in shots_per_observable),
-        rates=tuple(rates), lambda_min_used=tuple(lmins))
+    return success_rate_curve(p_data, p_a, p_0, shots_per_observable, alpha, trials,
+                              seed, lambda_trials)
 
 
 def witness_negative_probability(p: ScenarioParams, shots_per_observable,
@@ -323,12 +321,13 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
         rates=tuple(rates), lambda_min_used=tuple(math.nan for _ in rates))
 
 
-def match_alpha(p: ScenarioParams, tau: float, bracket=(0.0, 4.0)) -> float:
+def match_alpha(p: ScenarioParams, tau: float) -> float:
     """Coupling rescale s such that the gravity-free state with alpha -> s*alpha
     matches the alternative's W1 expectation at time ``tau``.
 
-    Solved by bracketed root finding to better than 1e-6 relative; raises with
-    a bracket report when no sign change is found.
+    The first sign change of the gap on an 81-point grid over (0, 4] is
+    refined by ``brentq`` to within 1e-13 + 1e-12 s; raises with the gap's
+    range when the grid has no sign change.
     """
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
@@ -338,15 +337,14 @@ def match_alpha(p: ScenarioParams, tau: float, bracket=(0.0, 4.0)) -> float:
         null = p.with_hypothesis(False, cp_scale=p.cp_scale * s)
         return w1_expectation_closed_form(null, tau) - target
 
-    lo, hi = bracket
-    grid = np.linspace(lo if lo > 0 else 1e-9, hi, 81)
+    grid = np.linspace(1e-9, 4.0, 81)
     vals = np.array([gap(s) for s in grid])
     if np.abs(vals).min() < 1e-14:
         return float(grid[np.abs(vals).argmin()])
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if sign_change.size == 0:
         raise RuntimeError(
-            f"no coupling rescale in [{lo}, {hi}] matches the witness expectation: "
+            "no coupling rescale in [0.0, 4.0] matches the witness expectation: "
             f"gap ranges [{vals.min():.3e}, {vals.max():.3e}]")
     i = sign_change[0]
     return float(brentq(gap, grid[i], grid[i + 1], xtol=1e-13, rtol=1e-12))
@@ -364,9 +362,6 @@ def differential_success_rate(p: ScenarioParams, shots_per_observable, alpha: fl
     rho_0 = spin_state(p.with_hypothesis(False, cp_scale=p.cp_scale * scale), tau)
     p_a = outcome_probabilities(rho_a, W1_OBSERVABLES)
     p_0 = outcome_probabilities(rho_0, W1_OBSERVABLES)
-    rates, lmins = success_rate_curve(p_a, p_a, p_0, shots_per_observable,
-                                      alpha, trials, seed, lambda_trials)
-    return DifferentialReport(
-        shots_axis=tuple(3 * int(N) for N in shots_per_observable),
-        rates=tuple(rates), lambda_min_used=tuple(lmins),
-        tau=tau, matched_cp_scale=scale)
+    report = success_rate_curve(p_a, p_a, p_0, shots_per_observable, alpha, trials, seed,
+                                lambda_trials)
+    return DifferentialReport(**asdict(report), tau=tau, matched_cp_scale=scale)

@@ -12,7 +12,6 @@ from .qstate import pauli_tensor
 
 __all__ = [
     "WitnessSpec",
-    "WitnessScan",
     "OptimalFallTime",
     "W1_OBSERVABLES",
     "w0",
@@ -150,25 +149,10 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
     return OptimalFallTime(float(tau), float(val), witnessing=bool(val < 0))
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessScan:
-    """Witness expectation over a strictly increasing time grid at one
-    dephasing rate."""
-
-    taus: np.ndarray
-    values: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if taus.shape != values.shape:
-            raise ValueError("taus and values must have equal length")
-        if taus.size > 1 and not np.all(np.diff(taus) > 0):
-            raise ValueError("taus must be strictly increasing")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "values", values)
-
-
-def witness_scan(p: ScenarioParams, w: WitnessSpec, taus) -> WitnessScan:
-    return WitnessScan(taus, witness_expectation(p, taus, w), p.dephasing_gamma)
+def witness_scan(p: ScenarioParams, w: WitnessSpec, taus) -> np.ndarray:
+    """Witness expectation over a strictly increasing time grid at the
+    scenario's dephasing rate; another grid raises ValueError."""
+    values = witness_expectation(p, taus, w)  # first: a non-finite tau would make np.diff warn
+    if np.size(taus) > 1 and not np.all(np.diff(taus) > 0):
+        raise ValueError("taus must be strictly increasing")
+    return values

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinwitness import loophole, tomography
 from spinwitness.cli import (_CHUNK, _COMMANDS, _FLOAT, _G, _SECTION_NAME, _write_table,
                              main)
 from spinwitness.model import ScenarioParams, spin_state
@@ -353,6 +354,19 @@ class TestErrors:
         assert "tau must be finite and >= 0" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("config, where", [
+        ('{"scenario": {"mass": %s}}', "scenario.mass"),
+        ('{"pea": {"taus": [1.0, %s]}}', "pea.taus[1]")], ids=["mass", "taus"])
+    def test_integer_too_large_for_a_float_exits_2_naming_it(self, tmp_path, capsys,
+                                                             config, where):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(config % ("9" * 401))
+        out = tmp_path / "x"
+        assert run(["pea", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{where} must be a real number, got an integer too large for a float" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_separation_exits_2(self, tmp_path):
         cfg = tmp_path / "inf.json"
         cfg.write_text('{"scenario": {"separation_d": Infinity}}')
@@ -378,9 +392,14 @@ class TestErrors:
         bad.write_text("{not json")
         assert run(["pea", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
-    def test_tomo_non_multiple_of_nine_exits_2(self, tmp_path, capsys):
-        # no table is written until every table's rows are computed
-        for name, bad in (("totals", {"totals": [100]}), ("batch", {"batch_shots": 10})):
+    def test_tomo_non_multiple_of_nine_exits_2(self, tmp_path, capsys, monkeypatch):
+        # every shot total is checked before the first reconstruction runs
+        def no_reconstruction(*args, **kwargs):
+            raise AssertionError("mle_reconstruct ran before the shot totals were checked")
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", no_reconstruction)
+        for name, bad in (("totals", {"totals": [100]}), ("batch", {"batch_shots": 10}),
+                          ("last_total", {"totals": [9, 90, 900, 9001]})):
             cfg = write_config(tmp_path, {"tomo": {"totals": [9], "trials": 100,
                                                    "batch_shots": 90, "batch_trials": 5,
                                                    **bad}})
@@ -404,6 +423,18 @@ class TestErrors:
                          "constraint_margin": 1.0}})
         assert run(["loophole", "--config", cfg,
                     "--out", str(tmp_path / "x")]) == 3
+
+    def test_separable_null_exits_3_before_searching(self, tmp_path, capsys, monkeypatch):
+        # at tau = 0 the null state is separable: the cap -margin admits no state
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched under a cap that no state meets")
+
+        monkeypatch.setattr(loophole, "minimize", no_search)
+        cfg = write_config(tmp_path, {"scenario": SMALL_SCENARIO, "loophole": {"tau": 0.0}})
+        out = tmp_path / "x"
+        assert run(["loophole", "--config", cfg, "--out", str(out)]) == 3
+        assert "no feasible state exists" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_overflowing_fall_time_exits_3(self, tmp_path, capsys):
         # tau ** 3 in pea_corrections overflows a float

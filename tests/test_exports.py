@@ -1,9 +1,11 @@
 """The package's export lists name only what the package defines: every
 ``__all__`` entry resolves, each name ``spinwitness/__init__.py`` re-exports
-is public in the module it comes from, and every public callable has a
-caller in the package or in the acceptance suite."""
+is public in the module it comes from, every public callable has a caller in
+the package or in the acceptance suite, and some call there sets each
+defaulted parameter of a public function."""
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -81,3 +83,61 @@ def uncalled_public_callables() -> list:
 
 def test_every_public_callable_has_a_caller():
     assert uncalled_public_callables() == sorted(UNCALLED_API)
+
+
+#: defaulted parameters of public functions that no call in the package or
+#: the acceptance suite sets, each with the test that needs it
+UNSET_OPTIONS = {
+    "loophole.find_loophole_state.observables":
+        "test_loophole.py::TestFindLoopholeState::test_unconstrained_matches_fixed_point_mle",
+    "stats.witness_negative_probability.tau":
+        "test_stats.py::TestWitnessNegativeProbability::test_symmetric_at_tau_zero",
+    "tomography.mle_reconstruct.iterations":
+        "test_tomography.py::TestMLE::test_likelihood_non_decreasing",
+    "witnesses.optimal_fall_time.tau_max":
+        "test_witnesses.py::TestOptimalFallTime::test_tiny_window_minimizer_at_edge",
+}
+
+
+def calls_by_name(trees) -> dict:
+    """Per called name (``f(...)`` or ``x.f(...)``), each call's count of
+    positional arguments and its keyword names; a call that unpacks ``*`` or
+    ``**`` counts as setting every parameter (None)."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                None if unpacks else (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def unset_options() -> list:
+    """``module.function.parameter`` of each defaulted parameter of a
+    function in a module's ``__all__`` that no call sets, by position, by
+    keyword or through ``*``/``**``."""
+    trees = [ast.parse(path.read_text()) for path in (*SRC.glob("*.py"), ACCEPTANCE)]
+    calls = calls_by_name(trees)
+    unset = []
+    for name in MODULES:
+        module = importlib.import_module(f"spinwitness.{name}")
+        for attr in getattr(module, "__all__", ()):
+            func = getattr(module, attr)
+            if not inspect.isfunction(func):
+                continue
+            for i, param in enumerate(inspect.signature(func).parameters.values()):
+                positional = param.kind is not param.KEYWORD_ONLY
+                if param.default is param.empty or any(
+                        call is None or (positional and i < call[0]) or param.name in call[1]
+                        for call in calls.get(attr, ())):
+                    continue
+                unset.append(f"{name}.{attr}.{param.name}")
+    return sorted(unset)
+
+
+def test_every_option_is_set_by_a_caller():
+    assert unset_options() == sorted(UNSET_OPTIONS)

@@ -145,6 +145,20 @@ class TestFindLoopholeState:
         with pytest.raises(InfeasibleSearchError, match="no feasible state"):
             find_loophole_state(data, RHO_0, cfg, seed=3)
 
+    @pytest.mark.parametrize("rho_null, margin", [
+        (RHO_0, 1.0), (spin_state(P350.with_hypothesis(False), 0.0), 1e-4)],
+        ids=["margin-above-null", "separable-null"])
+    def test_cap_below_zero_raises_before_any_search(self, monkeypatch, rho_null, margin):
+        # no state has a negative negativity, so no restart could succeed
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched under a cap that no state meets")
+
+        monkeypatch.setattr(lh, "minimize", no_search)
+        monkeypatch.setattr(lh, "mle_reconstruct", no_search)
+        cfg = OptimizationConfig(constraint_margin=margin)
+        with pytest.raises(InfeasibleSearchError, match="no feasible state exists"):
+            find_loophole_state(witness_data(seed=3), rho_null, cfg, seed=3)
+
     def test_failed_restart_is_reported(self, monkeypatch):
         real_minimize = lh.minimize
         calls = []

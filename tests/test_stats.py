@@ -19,8 +19,7 @@ from spinwitness.stats import (ProbabilityVector, differential_success_rate,
                                outcome_probabilities, simulate_measurements,
                                success_rate_curve, trial_rng,
                                witness_negative_probability)
-from spinwitness.witnesses import (W1_OBSERVABLES, WitnessScan, optimal_fall_time,
-                                   w1_expectation_closed_form)
+from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_form
 from conftest import random_state
 
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
@@ -262,7 +261,6 @@ def test_unsigned_counts_pass_the_boundary(call):
 #: compare equal: a probability vector is a cache key, the others are results
 EQUALITY_CASES = {
     "ProbabilityVector": (lambda: outcome_probabilities(BELL, W1_OBSERVABLES), True),
-    "WitnessScan": (lambda: WitnessScan(np.arange(3.0), np.zeros(3), 0.0), False),
     "LoopholeResult": (lambda: LoopholeResult(MIXED, 0.0, 0.0, True), False),
 }
 
@@ -633,8 +631,9 @@ class TestMatchAlpha:
         assert abs(alt - null) <= 1e-8
 
     def test_no_root_reports_bracket(self):
-        with pytest.raises(RuntimeError, match="no coupling rescale"):
-            match_alpha(P350, 0.34, bracket=(3.0, 4.0))
+        # at 450 um, gamma 0.03 every rescale in (0, 4] leaves a positive gap
+        with pytest.raises(RuntimeError, match=r"no coupling rescale in \[0.0, 4.0\]"):
+            match_alpha(P450, optimal_fall_time(P450).tau)
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):

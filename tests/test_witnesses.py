@@ -7,7 +7,7 @@ import pytest
 from spinwitness import witnesses
 from spinwitness.model import ScenarioParams, phase_rates, spin_state
 from spinwitness.qstate import negativity, partial_transpose
-from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime, WitnessScan,
+from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime,
                                    optimal_fall_time, w0, w1,
                                    w1_expectation_closed_form, w1_threshold,
                                    witness_expectation, witness_scan)
@@ -237,12 +237,20 @@ class TestOptimalFallTimeOracle:
 class TestScan:
     def test_scan_values(self):
         taus = np.linspace(0.0, 5.0, 6)
-        scan = witness_scan(P350, w1(), taus)
-        assert scan.gamma == 0.3
-        assert scan.values[0] == pytest.approx(0.0, abs=1e-12)
+        values = witness_scan(P350, w1(), taus)
+        assert values.shape == taus.shape
+        assert values.tobytes() == witness_expectation(P350, taus, w1()).tobytes()
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_increasing_taus(self):
-        with pytest.raises(ValueError):
-            WitnessScan(np.array([0.0, 1.0, 0.5]), np.zeros(3), 0.0)
-        with pytest.raises(ValueError):
-            WitnessScan(np.array([0.0, 1.0]), np.zeros(3), 0.0)
+        for taus in ([0.0, 1.0, 0.5], [0.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="taus must be strictly increasing"):
+                witness_scan(P350, w1(), np.array(taus))
+
+    def test_non_finite_tau_rejected_first(self):
+        # the grid of an infinite tau_max, [0, nan, inf]: spin_state raises
+        # before np.diff could warn on it
+        with np.errstate(invalid="ignore"):
+            taus = np.linspace(0.0, np.inf, 3)
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            witness_scan(P350, w1(), taus)
