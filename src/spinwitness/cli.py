@@ -39,11 +39,12 @@ def _load_config(path: str | None) -> dict:
 
 def _typed(value, default, where: str):
     """``value`` checked against the JSON type of ``default``; a real number
-    comes back as a float. Raises ValueError naming ``where``."""
+    comes back as a float, and an integer must fit numpy's int64. Raises
+    ValueError naming ``where``."""
     kind = type(default)
     if kind is list and type(value) is list and value:
         return [_typed(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
-    if kind in (bool, int) and type(value) is kind and (kind is bool or value >= 1):
+    if kind in (bool, int) and type(value) is kind and (kind is bool or 1 <= value < 2**63):
         return value
     real = type(value) in (int, float)
     if kind in (float, type(None)) and (real or (value is None and default is None)):
@@ -52,7 +53,8 @@ def _typed(value, default, where: str):
         except OverflowError:
             raise ValueError(f"{where} must be a real number, got an integer too large "
                              "for a float") from None
-    expected = {list: "a non-empty list", bool: "true or false", int: "an integer >= 1",
+    expected = {list: "a non-empty list", bool: "true or false",
+                int: "an integer >= 1 and < 2**63",
                 float: "a real number"}.get(kind, "a real number or null")
     raise ValueError(f"{where} must be {expected}, got {json.dumps(value)}")
 

@@ -205,7 +205,7 @@ def find_loophole_state(n, rho_null: np.ndarray,
     below zero, which no state meets, raises InfeasibleSearchError before
     any restart.
     """
-    if not _is_count(seed, 0):  # trial_rng would run int(seed)'s starts
+    if not _is_count(seed, 0):  # before the MLE seed: trial_rng checks it at restart 1
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     setup = MeasurementSetup(observables)
     neg_null = negativity(rho_null)

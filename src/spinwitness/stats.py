@@ -8,16 +8,19 @@ Randomness: every Monte Carlo operation draws trial t from the PCG64 stream
 substreams at fixed counter offsets; results are bit-reproducible given
 (seed, trials, N) and independent of evaluation order. Each stream's seed
 words are hashed once per process, and trial t advances a PCG64 seeded with
-them by t jump strides in place, exactly as ``.jumped(t)`` does.
+them by t jump strides in place, exactly as ``.jumped(t)`` does. A seed, tag
+or trial that is fractional, bool or negative raises; numpy integers count.
 """
 from __future__ import annotations
 
 import functools
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 from scipy.optimize import brentq
 
@@ -65,15 +68,18 @@ class _StreamWords(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise RuntimeError(f"stream words hold 4 uint64, not {n_words} "
                                f"{np.dtype(dtype)}")
         return self.words
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _stream_words(entropy: tuple) -> _StreamWords:
-    words = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _stream_words(*entropy) -> _StreamWords:
+    # typed: 2.0 and True miss the entries of 2 and 1, and are checked here
+    if not all(_is_count(v, 0) for v in entropy):
+        raise ValueError(f"seed and stream tags must be integers >= 0, got {entropy}")
+    words = SeedSequence([int(v) for v in entropy]).generate_state(4, np.uint64)
     words.flags.writeable = False
     return _StreamWords(words)
 
@@ -87,10 +93,14 @@ def trial_rng(seed: int, tags, trial: int) -> np.random.Generator:
     PCG64 is advanced by ``trial`` jump strides in place. Its ``seed_seq``
     is therefore a fixed-words sequence that cannot spawn; a generator from
     ``jumped()`` carries an unrelated OS-entropy ``SeedSequence`` there, so
-    nothing is lost."""
-    bit_gen = np.random.PCG64(_stream_words((int(seed), *map(int, tags))))
-    bit_gen.advance(_JUMP * int(trial))
-    return np.random.Generator(bit_gen)
+    nothing is lost. A fractional, bool or negative seed, tag or trial raises
+    ValueError (a non-integer trial TypeError)."""
+    t = operator.index(trial)
+    if t < 0 or trial.__class__ is bool:
+        raise ValueError(f"trial must be an integer >= 0, got {trial!r}")
+    bit_gen = PCG64(_stream_words(seed, *tags))
+    bit_gen.advance(_JUMP * t)
+    return Generator(bit_gen)
 
 
 def _is_count(n, least: int = 1) -> bool:
@@ -160,19 +170,18 @@ def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) ->
     """(trials, 4 * n_obs) int64 count rows of N shots per observable, one
     substream per trial; every Monte Carlo path draws here, so this is where
     N, ``trials`` and the seed are checked. One 2-D ``multinomial`` call per trial
-    draws the same counts but is slower (numpy 2.4.6, 2-core Xeon: 19 us for
-    3 rows against 3 us per 1-D call)."""
+    draws the same counts but is slower (numpy 2.4.6, 2-core Xeon: 9.8 us for
+    3 rows against 1.4 us per 1-D call)."""
     if not (_is_count(N) and _is_count(trials) and _is_count(seed, 0)):
         raise ValueError(f"shot count N and trials must be integers >= 1 and the seed "
                          f"an integer >= 0, got N={N!r}, trials={trials!r}, seed={seed!r}")
     probs = pv.probs.reshape(-1, 4)
-    probs = probs / probs.sum(axis=1, keepdims=True)
+    rows = list(probs / probs.sum(axis=1, keepdims=True))
     out = np.empty((trials, pv.probs.size), dtype=np.int64)
     blocks = out.reshape(trials, -1, 4)
     for t in range(trials):
         rng = trial_rng(seed, tags, t)
-        for i, block in enumerate(probs):
-            blocks[t, i] = rng.multinomial(N, block)
+        blocks[t] = [rng.multinomial(N, row) for row in rows]
     return out
 
 

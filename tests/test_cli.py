@@ -38,7 +38,16 @@ def run(args):
 #: (command, config, words the error message must contain)
 MISTYPED = [
     ("scan-witness", {"scan": {"points": 2.5}},
-     "scan.points must be an integer >= 1, got 2.5"),
+     "scan.points must be an integer >= 1 and < 2**63, got 2.5"),
+    # too large for numpy: it raised unnamed size errors, or exit 3 for N
+    ("scan-witness", {"scan": {"points": 10**29}},
+     f"scan.points must be an integer >= 1 and < 2**63, got {10**29}"),
+    ("witneg", {"witneg": {"trials": 10**29}},
+     f"witneg.trials must be an integer >= 1 and < 2**63, got {10**29}"),
+    ("witneg", {"witneg": {"shots_per_observable": [10, 10**30]}},
+     f"witneg.shots_per_observable[1] must be an integer >= 1 and < 2**63, got {10**30}"),
+    ("witneg", {"witneg": {"shots_per_observable": [2**63]}},
+     "witneg.shots_per_observable[0] must be an integer >= 1 and < 2**63"),
     ("scan-witness", {"scan": {"points": "7"}}, "scan.points must be an integer"),
     ("scan-witness", {"scan": {"points": 0}}, "scan.points must be an integer"),
     ("scan-witness", {"scan": {"gammas": 0.1}}, "scan.gammas must be a non-empty list"),

@@ -161,7 +161,7 @@ class TestTrialRng:
                               reference_rng(5, (TAG["null"], 10), 4).standard_normal(3))
 
     def test_stream_words_refuse_other_requests(self):
-        words = stats._stream_words((1, TAG["alt"], 10))
+        words = stats._stream_words(1, TAG["alt"], 10)
         assert words.generate_state(4, np.uint64).dtype == np.uint64
         with pytest.raises(RuntimeError):
             words.generate_state(8, np.uint64)
@@ -169,6 +169,74 @@ class TestTrialRng:
             words.generate_state(4, np.uint32)
         with pytest.raises(RuntimeError):
             words.generate_state(4)
+
+
+    @pytest.mark.parametrize("seed, tags, t, error", [
+        (2.5, (TAG["null"], 10), 0, ValueError), (True, (TAG["null"], 10), 0, ValueError),
+        (-1, (TAG["null"], 10), 0, ValueError), (2, (1.9, 10), 0, ValueError),
+        (2, (True, 10), 0, ValueError), (2, (-1, 10), 0, ValueError),
+        (2, (TAG["null"], 10.0), 0, ValueError), (2, (TAG["null"], 10), 2.7, TypeError),
+        (2, (TAG["null"], 10), -1, ValueError), (2, (TAG["null"], 10), True, ValueError),
+    ], ids=["seed2.5", "seedtrue", "seed-1", "tag1.9", "tagtrue", "tag-1", "N10.0",
+            "trial2.7", "trial-1", "trialtrue"])
+    def test_fractional_bool_or_negative_input_raises(self, seed, tags, t, error):
+        # int() used to truncate each: seed 2.5 drew seed 2's stream, tag 1.9
+        # tag 1's and trial 2.7 trial 2's
+        with pytest.raises(error, match="integer"):
+            trial_rng(seed, tags, t)
+
+    def test_bad_input_raises_after_its_integer_twin_is_hashed(self):
+        # 2.0 == 2 and True == 1 hash equal: an untyped cache would answer them
+        trial_rng(2, (1, 10), 0)
+        trial_rng(1, (1, 10), 0)
+        for seed, tags in ((2.0, (1, 10)), (True, (1, 10)), (2, (1.0, 10)), (2, (True, 10)),
+                           (2, (1, 10.0))):
+            with pytest.raises(ValueError, match="seed and stream tags must be integers"):
+                trial_rng(seed, tags, 0)
+        assert trial_rng(np.int64(2), (np.uint8(1), 10), 0).bit_generator.state == \
+            trial_rng(2, (1, 10), 0).bit_generator.state
+
+
+def reference_counts(pv, N, seed, tags, trials):
+    """The documented draws: trial t's generator, then one multinomial of N
+    shots per observable over its normalized block, in order."""
+    blocks = pv.probs.reshape(-1, 4)
+    rows = []
+    for t in range(trials):
+        rng = reference_rng(seed, tags, t)
+        rows.append(np.concatenate([rng.multinomial(N, b / b.sum()) for b in blocks]))
+    return np.array(rows)
+
+
+class TestDrawCounts:
+    @pytest.mark.parametrize("trials", [1, 257])
+    @pytest.mark.parametrize("N", [1, 10, 3333])
+    @pytest.mark.parametrize("observables", [W1_OBSERVABLES, tomography.TOMOGRAPHY_OBSERVABLES],
+                             ids=["w1", "tomography"])
+    def test_rows_equal_the_per_trial_definition(self, rng, observables, N, trials):
+        pv = outcome_probabilities(random_state(rng), observables)
+        for seed, tags in ((3, (TAG["null"], N)), (np.uint32(95003), (TAG["tomo_alt"], N))):
+            counts = stats._draw_counts(pv, N, seed, tags, trials)
+            assert counts.shape == (trials, 4 * len(observables)) and counts.dtype == np.int64
+            assert np.array_equal(counts, reference_counts(pv, N, seed, tags, trials))
+
+    def test_calls_trial_rng_once_per_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stats, "trial_rng",
+                            lambda *args: calls.append(args) or trial_rng(*args))
+        pv = outcome_probabilities(np.eye(4) / 4, W1_OBSERVABLES)
+        stats._draw_counts(pv, 10, 4, (TAG["alt"], 10), 37)
+        assert calls == [(4, (TAG["alt"], 10), t) for t in range(37)]
+
+    def test_hashes_each_stream_once(self):
+        pv = outcome_probabilities(np.eye(4) / 4, W1_OBSERVABLES)
+        stats._stream_words.cache_clear()
+        misses = lambda: stats._stream_words.cache_info().misses
+        for tags, added in (((TAG["alt"], 9876), 1), ((TAG["alt"], 9876), 0),
+                            ((TAG["null"], 9876), 1)):
+            before = misses()
+            stats._draw_counts(pv, 5, 8, tags, 50)
+            assert misses() - before == added
 
 
 class TestSimulateMeasurements:
