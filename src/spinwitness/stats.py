@@ -84,7 +84,7 @@ def _stream_words(*entropy) -> _StreamWords:
     return _StreamWords(words)
 
 
-def trial_rng(seed: int, tags, trial: int) -> np.random.Generator:
+def trial_rng(seed: int, tags, trial: int) -> Generator:
     """Generator for one Monte Carlo trial: an independent counter-offset
     substream of the named PCG64 stream, in exactly the state of
     ``Generator(PCG64(SeedSequence([seed, *tags])).jumped(trial))``.

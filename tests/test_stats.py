@@ -170,7 +170,6 @@ class TestTrialRng:
         with pytest.raises(RuntimeError):
             words.generate_state(4)
 
-
     @pytest.mark.parametrize("seed, tags, t, error", [
         (2.5, (TAG["null"], 10), 0, ValueError), (True, (TAG["null"], 10), 0, ValueError),
         (-1, (TAG["null"], 10), 0, ValueError), (2, (1.9, 10), 0, ValueError),
