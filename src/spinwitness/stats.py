@@ -96,7 +96,7 @@ def trial_rng(seed: int, tags, trial: int) -> Generator:
     nothing is lost. A fractional, bool or negative seed, tag or trial raises
     ValueError (a non-integer trial TypeError)."""
     t = operator.index(trial)
-    if t < 0 or trial.__class__ is bool:
+    if t < 0 or isinstance(trial, bool):
         raise ValueError(f"trial must be an integer >= 0, got {trial!r}")
     bit_gen = PCG64(_stream_words(seed, *tags))
     bit_gen.advance(_JUMP * t)
