@@ -21,10 +21,14 @@ __all__ = [
 TOMOGRAPHY_OBSERVABLES = tuple((a, b) for a in "XYZ" for b in "XYZ")
 
 
-def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
+def _r_stack(rho, counts, total, setup: MeasurementSetup, coords, probs, out) -> np.ndarray:
     """Real form of R per real-form state of a (trials, 8, 8) stack, against its
-    row of counts. A counted outcome with probability <= 0 raises; an uncounted one weighs 0."""
-    probs = setup._coordinate_probabilities(rho[:, :, :4].reshape(-1, 32))
+    row of counts, written into ``out`` (trials, 8, 8) and returned. ``coords``
+    (trials, 8, 4) and ``probs`` (trials, n_observables, 4) are work arrays. A
+    counted outcome with probability <= 0 raises; an uncounted one weighs 0."""
+    np.copyto(coords, rho[:, :, :4])
+    np.matmul(coords.reshape(len(coords), 32), setup._blocks, out=probs.transpose(1, 0, 2))
+    probs = probs.reshape(len(probs), -1)
     if probs.min() <= 0.0:
         dead = np.argwhere((counts > 0) & (probs <= 0.0))
         if len(dead):
@@ -32,7 +36,11 @@ def _r_stack(rho, counts, total, setup: MeasurementSetup) -> np.ndarray:
             raise ZeroDivisionError(
                 f"trial {t}: projector {i} (observable {setup.observables[i // 4]}, "
                 f"outcome {i % 4}) has zero probability but {int(counts[t, i])} counts")
-    return setup._real_operator(counts / (total[:, None] * np.maximum(probs, 1e-300)))
+    np.maximum(probs, 1e-300, out=probs)
+    np.multiply(total[:, None], probs, out=probs)
+    np.divide(counts, probs, out=probs)  # counts / (total * max(p, 1e-300))
+    np.matmul(probs, setup._forms, out=out.reshape(len(out), 64))
+    return out
 
 
 def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> np.ndarray:
@@ -40,17 +48,30 @@ def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> n
     fixed number of iterations, no early stopping. A (trials, 4 *
     n_observables) count array gives a (trials, 4, 4) stack, one state per
     row, all iterated at once, each with the bits of its single-row call.
-    The iterates are real forms [[A, -B], [B, A]] of rho = A + iB."""
+    The iterates are real forms [[A, -B], [B, A]] of rho = A + iB, written
+    into work arrays allocated once per call."""
     if not _is_count(iterations):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     counts = _count_rows(counts, len(setup.projectors))
+    trials = len(counts)
+    if trials == 1:
+        counts = counts.repeat(2, 0)  # two rows keep the products on gemm, not gemv
+    b = len(counts)
     total = counts.sum(axis=1)
-    rho = np.broadcast_to(np.eye(8) / 4, (len(counts), 8, 8)).copy()
+    rho = np.broadcast_to(np.eye(8) / 4, (b, 8, 8)).copy()
+    tmp = np.empty_like(rho)  # the two iterate buffers alternate
+    R = np.empty_like(rho)
+    probs = np.empty((b, len(setup.observables), 4))
     for _ in range(iterations):
-        R = _r_stack(rho, counts, total, setup)
-        rho = R @ rho @ R
-        rho = rho + rho.swapaxes(-1, -2)  # twice the symmetric part
+        # the idle buffer's first 32 entries per state hold [Re rho, Im rho]
+        _r_stack(rho, counts, total, setup, tmp.reshape(b, 2, 8, 4)[:, 0], probs, R)
+        np.matmul(R, rho, out=tmp)
+        np.matmul(tmp, R, out=rho)
+        np.add(rho, rho.swapaxes(-1, -2), out=tmp)  # twice the symmetric part
+        rho, tmp = tmp, rho
         rho *= (2 / np.einsum("bii->b", rho))[:, None, None]  # Tr rho = half the 8x8 trace
+    del tmp, R, probs  # freed before the complex result is built: a lower peak
+    rho = rho[:trials]
     return rho[:, :4, :4] + 0.5j * (rho[:, 4:, :4] - rho[:, :4, 4:])  # exactly Hermitian
 
 
