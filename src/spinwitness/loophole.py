@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 from .qstate import (_L_COLS, _L_ROWS, MeasurementSetup, _cholesky_factor,
                      check_density_matrix, cholesky_to_state, negativity,
                      partial_transpose, state_to_cholesky_angles)
-from .stats import _STREAM_TAGS, _count_rows, _is_count, trial_rng
+from .stats import _STREAM_TAGS, _check_seed, _count_rows, _is_count, trial_rng
 from .tomography import mle_reconstruct
 from .witnesses import W1_OBSERVABLES
 
@@ -205,8 +205,7 @@ def find_loophole_state(n, rho_null: np.ndarray,
     below zero, which no state meets, raises InfeasibleSearchError before
     any restart.
     """
-    if not _is_count(seed, 0):  # before the MLE seed: trial_rng checks it at restart 1
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_seed(seed)  # before the MLE seed: trial_rng checks it at restart 1
     setup = MeasurementSetup(observables)
     neg_null = negativity(rho_null)
     neg_cap = neg_null - cfg.constraint_margin

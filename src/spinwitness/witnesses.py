@@ -53,11 +53,27 @@ def w1() -> WitnessSpec:
                         (-1.0, ("Z", "Y")), (-1.0, ("Y", "Z"))))
 
 
+#: states per stacked product in :func:`witness_expectation`; a whole-grid
+#: stack of W would double the call's peak memory
+_BLOCK = 512
+
+
 def witness_expectation(p: ScenarioParams, tau, w: WitnessSpec) -> np.ndarray | float:
-    """Tr(W rho(p, tau)) for a scalar or an array of times; W is rebuilt per state."""
-    rho = spin_state(p, tau)
-    vals = np.array([float((w.matrix() @ r).trace().real) for r in rho.reshape(-1, 4, 4)])
-    return float(vals[0]) if np.isscalar(tau) else vals.reshape(rho.shape[:-2])
+    """Tr(W rho(p, tau)) for a scalar or an array of times. W is rebuilt per
+    state into a block buffer, and each block of states is multiplied and
+    traced as one stacked product, with the bits of the per-state product."""
+    states = spin_state(p, tau)
+    rho = states.reshape(-1, 4, 4)
+    n = len(rho)
+    ws = np.empty((min(n, _BLOCK), 4, 4), dtype=complex)
+    vals = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        block = rho[start:start + _BLOCK]
+        k = len(block)
+        for j in range(k):
+            ws[j] = w.matrix()
+        vals[start:start + k] = np.trace(ws[:k] @ block, axis1=-2, axis2=-1).real
+    return float(vals[0]) if np.isscalar(tau) else vals.reshape(states.shape[:-2])
 
 
 def w1_expectation_closed_form(p: ScenarioParams, tau) -> np.ndarray | float:

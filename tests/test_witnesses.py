@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,46 @@ class TestWitnessExpectation:
         assert type(scalar) is float
         grid = witness_expectation(p, taus[1:].reshape(3, 200), spec())
         assert grid.shape == (3, 200) and grid.tobytes() == vals[1:].tobytes()
+
+    @pytest.mark.parametrize("shape", [(511,), (512,), (513,), (1025,), (3, 700)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("spec", [w0, w1], ids=["W0", "W1"])
+    def test_blocks_keep_the_bits_of_scalar_calls(self, spec, gamma, shape):
+        # grids one state short of, at and past a 512-state block, two blocks
+        # and a bit, and a 2-d grid whose rows straddle block edges
+        p = dataclasses.replace(P350, dephasing_gamma=gamma)
+        taus = np.linspace(0.0, 30.0, np.prod(shape)).reshape(shape)
+        vals = witness_expectation(p, taus, spec())
+        assert vals.shape == shape and vals.dtype == np.float64
+        loop = np.array([witness_expectation(p, t, spec()) for t in taus.ravel()])
+        assert vals.tobytes() == loop.tobytes()
+        # the per-state product, as the scan computed it one state at a time
+        states = spin_state(p, taus.ravel())
+        per_state = np.array([float((spec().matrix() @ r).trace().real) for r in states])
+        assert vals.tobytes() == per_state.tobytes()
+
+    @pytest.mark.parametrize("taus", [np.empty(0), np.empty((0, 3)), np.array(2.5)],
+                             ids=["empty", "empty-2d", "0-d"])
+    def test_empty_and_0d_grids_keep_type_shape_and_dtype(self, taus):
+        vals = witness_expectation(P350, taus, w1())
+        assert type(vals) is np.ndarray
+        assert vals.shape == taus.shape and vals.dtype == np.float64
+        if taus.size:
+            assert vals.tobytes() == np.float64(witness_expectation(P350, 2.5, w1())).tobytes()
+
+    def test_peak_memory_of_a_scan_stays_below_two_state_stacks(self):
+        # the per-state loop peaked at 2,437,656 B on the benchmark's grid, as
+        # do 512-state blocks; one stack of W for the whole grid peaks at
+        # 4.5 MB and one preallocated 4,801-state buffer at 2.64 MB
+        taus = np.linspace(0.0, 30.0, 4801)
+        witness_expectation(P350, taus, w1())
+        tracemalloc.start()
+        try:
+            witness_expectation(P350, taus, w1())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4801 * 16 * 16
 
     def test_w0_reveals_after_8_seconds(self):
         taus = np.linspace(0.01, 12, 1200)
