@@ -228,11 +228,11 @@ def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector)
 
 def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: float,
                trials: int, seed: int) -> float:
-    """Decision threshold: empirical (1-alpha) percentile of lambda over
-    ``trials`` count rows simulated under the null hypothesis. A process
-    keeps the ``_CACHE_SIZE`` most recently used thresholds. A NaN
-    percentile, interpolated against an infinite lambda, raises RuntimeError
-    uncached."""
+    """Decision threshold: the nearest-rank (1-alpha) quantile of lambda over
+    ``trials`` count rows simulated under the null hypothesis, the smallest
+    null lambda with at least (1-alpha) trials at or below it. A process
+    keeps the ``_CACHE_SIZE`` most recently used thresholds. A threshold of
+    -inf raises RuntimeError uncached; null draws are never +inf."""
     _check_alpha(alpha)
     # checked before the cache lookup: True == 1.0 == 1 would find 1's threshold
     if not (_is_count(N) and _is_count(trials, 100)):
@@ -247,10 +247,9 @@ def _lambda_threshold(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int,
                       alpha: float, trials: int, seed: int) -> float:
     counts = _draw_counts(p_0, N, seed, (_STREAM_TAGS["null"], N), trials)
     lam0 = log_likelihood_ratio(counts, p_a, p_0)
-    with np.errstate(invalid="ignore"):
-        value = float(np.percentile(lam0, 100.0 * (1.0 - alpha)))
-    if math.isnan(value):
-        raise RuntimeError(f"lambda_min at N={N} is NaN: {np.sum(lam0 == -math.inf)} "
+    value = float(np.percentile(lam0, 100.0 * (1.0 - alpha), method="inverted_cdf"))
+    if value == -math.inf:
+        raise RuntimeError(f"lambda_min at N={N} is -inf: {np.sum(lam0 == -math.inf)} "
                            f"of {trials} null lambdas are -inf")
     return value
 

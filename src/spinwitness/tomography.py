@@ -90,8 +90,8 @@ def _tomo_counts(rho: np.ndarray, N: int, seed: int, tag: int, trials: int):
 def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: int,
                           seed: int) -> float:
     """Fraction of alternative-hypothesis reconstructions whose negativity
-    exceeds the 99th percentile (nearest rank) of the null reconstructions'
-    negativities by more than 1e-12: a tie decides for the null, whatever
+    exceeds the null negativities' nearest-rank 99th percentile (the rule of
+    ``lambda_min``) by more than 1e-12: a tie decides for the null, whatever
     its rounding. Both states are taken at the optimal W1 fall time."""
     N = _check_total(shots_per_tomography)
     setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
@@ -102,7 +102,7 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
                             _STREAM_TAGS["tomo_null"], trials)
     neg_a = negativity(mle_reconstruct(counts_a, setup))
     neg_0 = negativity(mle_reconstruct(counts_0, setup))
-    threshold = np.sort(neg_0)[int(np.ceil(0.99 * trials)) - 1]
+    threshold = np.percentile(neg_0, 99.0, method="inverted_cdf")
     return float(np.mean(neg_a - threshold > 1e-12))
 
 

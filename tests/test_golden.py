@@ -45,7 +45,7 @@ CONFIG = {
 GOLDEN = {
     "differential": {
         "differential.csv":
-            "05133854cb306c9676f6b941ebb2adf2257528f8eef0452183fab9331d82d4aa",
+            "5ba0349369cd3ddce3b87a76f96b5fa6d9c1f71f965073a0a0fec21fe9b5d900",
         "differential_meta.json":
             "8d88ff1d09ba7321dd7f616f234ac4e7dd7240ad98317c0a303ae02f657e58a3",
     },
@@ -79,7 +79,7 @@ GOLDEN = {
     },
     "success": {
         "success.csv":
-            "40664626d38ded9b9598a3efcbb237a679fe046f3bb58f2ca02b236824076343",
+            "1f1af752239f4714e2e6186e36d41b98b40fbc7e5c76d4695821619e21eabbf5",
     },
     "tomo": {
         "tomo_batch_alt.csv":

@@ -555,15 +555,32 @@ class TestLambdaMin:
                   for a in (0.01, 0.05, 0.2, 0.5)]
         assert all(x >= y for x, y in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("percent", [1, 5])
+    @pytest.mark.parametrize("trials", [100, 150, 1000, 10000])
+    def test_threshold_is_the_nearest_rank_null_lambda(self, trials, percent):
+        # the smallest null lambda with at least (1 - alpha) of the trials at
+        # or below it, found by counting in integers: a rank rounded otherwise
+        # (by the code, or by another numpy's inverted_cdf) picks a neighbour.
+        # At 150 trials (1 - alpha) n falls between two ranks.
+        tau = optimal_fall_time(P350).tau
+        p_a, p_0 = (outcome_probabilities(spin_state(P350.with_hypothesis(alt), tau),
+                                          W1_OBSERVABLES) for alt in (True, False))
+        N, seed = 33, 9
+        lam = np.sort(log_likelihood_ratio(
+            stats._draw_counts(p_0, N, seed, (TAG["null"], N), trials), p_a, p_0))
+        at_or_below = np.searchsorted(lam, lam, side="right")
+        expected = lam[np.argmax(100 * at_or_below >= (100 - percent) * trials)]
+        assert lambda_min(p_0, p_a, N, percent / 100, trials, seed) == expected
+
     @pytest.mark.parametrize("N", [8, 10, 20])
-    def test_nan_percentile_raises_uncached(self, N):
+    def test_minus_inf_threshold_raises_uncached(self, N):
         # most null datasets hit an outcome impossible under the alternative:
-        # the 99th percentile interpolates between -inf values and is NaN,
-        # against which no lambda (here every one is 2 N ln 2) would succeed
+        # the 99th percentile is a -inf lambda, which every lambda (here each
+        # is 2 N ln 2) would reach
         stats._lambda_threshold.cache_clear()
         p0 = pv_from_blocks([[0.25] * 4])
         pa = pv_from_blocks([[0.5, 0.5, 0.0, 0.0]])
-        with pytest.raises(RuntimeError, match=f"N={N} is NaN"):
+        with pytest.raises(RuntimeError, match=f"N={N} is -inf"):
             lambda_min(p0, pa, N=N, alpha=0.01, trials=1000, seed=0)
         with pytest.raises(RuntimeError):
             success_rate_curve(pa, pa, p0, [N], 0.01, 100, 0, lambda_trials=1000)
