@@ -113,8 +113,8 @@ def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
         for name, w in (("w0", witnesses.w0()), ("w1", witnesses.w1())):
             _write_table(out / f"witness_{name}_gamma{tag}.csv", "tau_s,value,gamma", row,
                          tau_cells, witnesses.witness_scan(pg, w, taus))
-        _write_table(out / f"negativity_gamma{tag}.csv", "tau_s,value,gamma", row,
-                     tau_cells, negativity(model.spin_state(pg, taus)))
+        _write_table(out / f"negativity_gamma{tag}.csv", "tau_s,value,gamma", row, tau_cells,
+                     np.concatenate([negativity(r) for r in witnesses._state_blocks(pg, taus)]))
 
 
 def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:

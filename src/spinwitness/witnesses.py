@@ -53,27 +53,27 @@ def w1() -> WitnessSpec:
                         (-1.0, ("Z", "Y")), (-1.0, ("Y", "Z"))))
 
 
-#: states per stacked product in :func:`witness_expectation`; a whole-grid
-#: stack of W would double the call's peak memory
+#: times per block of a scan: no stack of states or of W grows with the grid
 _BLOCK = 512
 
 
+def _state_blocks(p: ScenarioParams, tau):
+    """spin_state(p, block) for each block of ``_BLOCK`` times of the flat grid ``tau``."""
+    flat = np.asarray(tau, dtype=float).reshape(-1)
+    return (spin_state(p, flat[i:i + _BLOCK]) for i in range(0, flat.size, _BLOCK))
+
+
 def witness_expectation(p: ScenarioParams, tau, w: WitnessSpec) -> np.ndarray | float:
-    """Tr(W rho(p, tau)) for a scalar or an array of times. W is rebuilt per
-    state into a block buffer, and each block of states is multiplied and
-    traced as one stacked product, with the bits of the per-state product."""
-    states = spin_state(p, tau)
-    rho = states.reshape(-1, 4, 4)
-    n = len(rho)
-    ws = np.empty((min(n, _BLOCK), 4, 4), dtype=complex)
-    vals = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        block = rho[start:start + _BLOCK]
-        k = len(block)
-        for j in range(k):
+    """Tr(W rho(p, tau)) for a scalar or an array of times, with W rebuilt per
+    state into a block buffer and each block of :func:`_state_blocks` traced
+    as one stacked product (per-state bits): only the result grows with the grid."""
+    vals = np.empty(np.size(tau))
+    ws = np.empty((min(vals.size, _BLOCK), 4, 4), dtype=complex)
+    for start, rho in zip(range(0, vals.size, _BLOCK), _state_blocks(p, tau)):
+        for j in range(len(rho)):
             ws[j] = w.matrix()
-        vals[start:start + k] = np.trace(ws[:k] @ block, axis1=-2, axis2=-1).real
-    return float(vals[0]) if np.isscalar(tau) else vals.reshape(states.shape[:-2])
+        vals[start:start + _BLOCK] = np.trace(ws[:len(rho)] @ rho, axis1=-2, axis2=-1).real
+    return float(vals[0]) if np.isscalar(tau) else vals.reshape(np.shape(tau))
 
 
 def w1_expectation_closed_form(p: ScenarioParams, tau) -> np.ndarray | float:
@@ -166,9 +166,9 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
 
 
 def witness_scan(p: ScenarioParams, w: WitnessSpec, taus) -> np.ndarray:
-    """Witness expectation over a strictly increasing time grid at the
-    scenario's dephasing rate; another grid raises ValueError."""
+    """Witness expectation over a strictly increasing one-dimensional time
+    grid at the scenario's dephasing rate; another grid raises ValueError."""
     values = witness_expectation(p, taus, w)  # first: a non-finite tau would make np.diff warn
-    if np.size(taus) > 1 and not np.all(np.diff(taus) > 0):
-        raise ValueError("taus must be strictly increasing")
+    if np.ndim(taus) > 1 or (np.size(taus) > 1 and not np.all(np.diff(taus) > 0)):
+        raise ValueError("taus must be strictly increasing along one axis")
     return values

@@ -1,5 +1,7 @@
 """Shared samplers and brute-force oracles, kept independent of the package
 paths they check."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -84,6 +86,18 @@ def random_scenario(rng):
         cp_scale=rng.uniform(0.0, 2.0),
         gravity_on=bool(rng.integers(0, 2)),
     )
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak, in bytes, of one call of ``fn`` after an untraced
+    warm-up call (first calls fill caches that later calls reuse)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwitness import loophole, tomography
+from spinwitness import cli, loophole, tomography
 from spinwitness.cli import (_CHUNK, _COMMANDS, _FLOAT, _G, _SECTION_NAME, _write_table,
                              main)
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import check_density_matrix, negativity
 from spinwitness.witnesses import w0, w1, witness_expectation
+from conftest import traced_peak
 from test_golden import CONFIG as GOLDEN_CONFIG
 
 
@@ -148,6 +149,52 @@ class TestScan:
             lines = (out / f"negativity_gamma{_G(gamma)}.csv").read_text().splitlines()
             assert lines[1:] == [f"{_G(t)},{_G(negativity(spin_state(pg, t)))},{_G(gamma)}"
                                  for t in taus]
+
+    @pytest.mark.parametrize("points", [511, 512, 513, 1025])
+    def test_negativity_rows_equal_single_state_calls_at_block_edges(self, tmp_path, points):
+        # grids one state short of, at and past a 512-state block, and two
+        # blocks and a bit: the negativities are taken one block at a time
+        cfg = write_config(tmp_path, {
+            "scenario": SMALL_SCENARIO,
+            "scan": {"gammas": [0.03, 0.3], "tau_max": 30.0, "points": points}})
+        out = tmp_path / "scan"
+        assert run(["scan-witness", "--config", cfg, "--out", str(out)]) == 0
+        taus = np.linspace(0.0, 30.0, points)
+        for gamma in (0.03, 0.3):
+            pg = ScenarioParams(**{**SMALL_SCENARIO, "dephasing_gamma": gamma})
+            rows = ([REFERENCE_G(t), REFERENCE_G(negativity(spin_state(pg, t))),
+                     REFERENCE_G(gamma)] for t in taus)
+            assert (out / f"negativity_gamma{_G(gamma)}.csv").read_bytes() == \
+                reference_table("tau_s,value,gamma", rows)
+
+    def test_state_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # per added point the command keeps its time, its formatted time
+        # cell and a few float columns, about 90 B; one whole-grid stack of
+        # 4x4 complex states adds 256 B (the negativity of one built at
+        # once peaked 620 B higher per point)
+        def peak(points):
+            opts = {"gammas": [0.3], "tau_max": 30.0, "points": points}
+            return traced_peak(lambda: cli.cmd_scan_witness(
+                ScenarioParams(**SMALL_SCENARIO), opts, tmp_path, 0))
+
+        assert peak(24005) - peak(4801) < 16 * 16 * (24005 - 4801)
+
+    def test_invalid_tau_in_a_later_block_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # inf as point 1,025 of 1,025, past the first two 512-state blocks
+        linspace = np.linspace
+
+        def grid(*args, **kwargs):
+            taus = linspace(*args, **kwargs)
+            taus[-1] = np.inf
+            return taus
+
+        monkeypatch.setattr(np, "linspace", grid)
+        cfg = write_config(tmp_path, {"scan": {"tau_max": 30.0, "points": 1025}})
+        out = tmp_path / "x"
+        assert run(["scan-witness", "--config", cfg, "--out", str(out)]) == 2
+        assert "tau must be finite and >= 0" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_witness_rows_equal_point_by_point_at_benchmark_size(self, tmp_path):
         # each witness scan is one call over the time grid, which must print

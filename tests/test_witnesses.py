@@ -12,7 +12,8 @@ from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime,
                                    optimal_fall_time, w0, w1,
                                    w1_expectation_closed_form, w1_threshold,
                                    witness_expectation, witness_scan)
-from conftest import oracle_kron, random_scenario, random_separable_state, random_state
+from conftest import (oracle_kron, random_scenario, random_separable_state, random_state,
+                      traced_peak)
 
 P450_GRAV = ScenarioParams(cp_scale=0.0)
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
@@ -118,6 +119,15 @@ class TestWitnessExpectation:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 4801 * 16 * 16
+
+    def test_peak_memory_grows_by_at_most_two_floats_per_point(self):
+        # states are built 512 at a time, so only the float result grows
+        # with the grid; a whole-grid state stack adds 256 B per point, and
+        # spin_state peaks at twice that (+20.7 MB here when it did)
+        small, large = (np.linspace(0.0, 30.0, n) for n in (4801, 48010))
+        growth = (traced_peak(lambda: witness_expectation(P350, large, w1()))
+                  - traced_peak(lambda: witness_expectation(P350, small, w1())))
+        assert growth <= 2 * 8 * (large.size - small.size)
 
     def test_w0_reveals_after_8_seconds(self):
         taus = np.linspace(0.01, 12, 1200)
@@ -275,6 +285,17 @@ class TestOptimalFallTimeOracle:
         assert calls == [p.with_hypothesis(gravity_on=True)]
 
 
+class TestStateBlocks:
+    @pytest.mark.parametrize("shape", [(1,), (511,), (512,), (513,), (1025,), (3, 700)])
+    def test_blocks_of_512_states_in_grid_order_with_scalar_bits(self, shape):
+        taus = np.linspace(0.0, 30.0, np.prod(shape)).reshape(shape)
+        blocks = list(witnesses._state_blocks(P350, taus))
+        n = taus.size
+        assert [len(b) for b in blocks] == [min(512, n - i) for i in range(0, n, 512)]
+        loop = np.array([spin_state(P350, t) for t in taus.ravel()])
+        assert np.concatenate(blocks).tobytes() == loop.tobytes()
+
+
 class TestScan:
     def test_scan_values(self):
         taus = np.linspace(0.0, 5.0, 6)
@@ -284,9 +305,25 @@ class TestScan:
         assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_increasing_taus(self):
-        for taus in ([0.0, 1.0, 0.5], [0.0, 1.0, 1.0]):
+        # a grid of more than one axis is rejected whole, also a decreasing
+        # column, a repeated row or one increasing in reading order
+        for taus in ([0.0, 1.0, 0.5], [0.0, 1.0, 1.0], [[1.0], [0.0]],
+                     [[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]):
             with pytest.raises(ValueError, match="taus must be strictly increasing"):
                 witness_scan(P350, w1(), np.array(taus))
+
+    def test_invalid_tau_in_a_later_block_rejected_before_diff(self, monkeypatch):
+        # inf as point 1,025 of 1,025: the third block's spin_state raises
+        # (np.diff would pass this grid: inf - 30 > 0)
+        taus = np.linspace(0.0, 30.0, 1025)
+        taus[-1] = np.inf
+
+        def no_diff(*args, **kwargs):
+            raise AssertionError("np.diff ran on a grid with an invalid tau")
+
+        monkeypatch.setattr(np, "diff", no_diff)
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            witness_scan(P350, w1(), taus)
 
     def test_non_finite_tau_rejected_first(self):
         # the grid of an infinite tau_max, [0, nan, inf]: spin_state raises
