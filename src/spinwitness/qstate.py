@@ -108,10 +108,7 @@ class MeasurementSetup:
 
     def probabilities(self, rho) -> np.ndarray:
         """Tr(rho P_p) of one state or a stack of shape (..., 4, 4), by p."""
-        return self._coordinate_probabilities(_real_coordinates(rho))
-
-    def _coordinate_probabilities(self, x: np.ndarray) -> np.ndarray:
-        """Tr(rho P_p) from [Re rho, Im rho] coordinates of shape (..., 32)."""
+        x = _real_coordinates(rho)
         y = _matmul_rows(x.reshape(-1, 32), self._blocks)
         return y.swapaxes(0, 1).reshape(x.shape[:-1] + (len(self.projectors),))
 
@@ -162,7 +159,7 @@ def negativity(rho: np.ndarray):
 def _sqrt_eigenvalues(w: np.ndarray, what: str) -> np.ndarray:
     """Square roots of PSD eigenvalues, each below 8 eps times its matrix's
     largest set to 0 first (the root of ~1e-16 is ~1e-8). Raises below -1e-9."""
-    if w.min() < -1e-9:
+    if w.min(initial=0.0) < -1e-9:
         raise ValueError(f"{what} not PSD: min eigenvalue {w.min():.3e}")
     return np.sqrt(np.where(w < 8 * np.finfo(float).eps * w.max(-1, keepdims=True), 0.0, w))
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from .model import ScenarioParams, spin_state
 from .qstate import MeasurementSetup, fidelity, negativity
-from .stats import _STREAM_TAGS, _count_rows, _draw_counts, _is_count, outcome_probabilities
+from .stats import _STREAM_TAGS, ProbabilityVector, _count_rows, _draw_counts, _is_count
 from .witnesses import optimal_fall_time
 
 __all__ = [
@@ -54,6 +54,8 @@ def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> n
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     counts = _count_rows(counts, len(setup.projectors))
     trials = len(counts)
+    if trials == 0:
+        return np.empty((0, 4, 4), dtype=complex)
     if trials == 1:
         counts = counts.repeat(2, 0)  # two rows keep the products on gemm, not gemv
     b = len(counts)
@@ -76,15 +78,17 @@ def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> n
 
 
 def _check_total(total_shots: int) -> int:
-    if total_shots < 9 or total_shots % 9 != 0:
+    if not _is_count(total_shots, 9) or total_shots % 9 != 0:
         raise ValueError(f"total shots must be a positive multiple of 9, got {total_shots!r}")
     return total_shots // 9
 
 
-def _tomo_counts(rho: np.ndarray, N: int, seed: int, tag: int, trials: int):
-    """(trials, 36) multinomial counts of N shots per tomography observable."""
-    return _draw_counts(outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES), N, seed,
-                        (tag, N), trials)
+def _reconstruct(p: ScenarioParams, tau, alt: bool, N: int, seed: int, tag: int, trials: int):
+    """The state of hypothesis ``alt`` at ``tau`` and its MLEs from the (seed, tag, N) stream."""
+    rho = spin_state(p.with_hypothesis(alt), tau)
+    setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
+    counts = _draw_counts(ProbabilityVector(setup.probabilities(rho)), N, seed, (tag, N), trials)
+    return rho, mle_reconstruct(counts, setup)
 
 
 def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: int,
@@ -94,14 +98,9 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
     ``lambda_min``) by more than 1e-12: a tie decides for the null, whatever
     its rounding. Both states are taken at the optimal W1 fall time."""
     N = _check_total(shots_per_tomography)
-    setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
     tau = optimal_fall_time(p).tau
-    counts_a = _tomo_counts(spin_state(p.with_hypothesis(True), tau), N, seed,
-                            _STREAM_TAGS["tomo_alt"], trials)
-    counts_0 = _tomo_counts(spin_state(p.with_hypothesis(False), tau), N, seed,
-                            _STREAM_TAGS["tomo_null"], trials)
-    neg_a = negativity(mle_reconstruct(counts_a, setup))
-    neg_0 = negativity(mle_reconstruct(counts_0, setup))
+    neg_a = negativity(_reconstruct(p, tau, True, N, seed, _STREAM_TAGS["tomo_alt"], trials)[1])
+    neg_0 = negativity(_reconstruct(p, tau, False, N, seed, _STREAM_TAGS["tomo_null"], trials)[1])
     threshold = np.percentile(neg_0, 99.0, method="inverted_cdf")
     return float(np.mean(neg_a - threshold > 1e-12))
 
@@ -116,8 +115,6 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     if hypothesis not in ("alt", "null"):
         raise ValueError("hypothesis must be 'alt' or 'null'")
     N = _check_total(shots_per_tomography)
-    tau = optimal_fall_time(p).tau
-    rho = spin_state(p.with_hypothesis(hypothesis == "alt"), tau)
-    counts = _tomo_counts(rho, N, seed, _STREAM_TAGS[f"batch_{hypothesis}"], trials)
-    rec = mle_reconstruct(counts, MeasurementSetup(TOMOGRAPHY_OBSERVABLES))
+    rho, rec = _reconstruct(p, optimal_fall_time(p).tau, hypothesis == "alt", N, seed,
+                            _STREAM_TAGS[f"batch_{hypothesis}"], trials)
     return negativity(rec), fidelity(rec, rho)

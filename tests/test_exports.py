@@ -1,8 +1,9 @@
 """The package's export lists name only what the package defines: every
 ``__all__`` entry resolves, each name ``spinwitness/__init__.py`` re-exports
 is public in the module it comes from, every public callable has a caller in
-the package or in the acceptance suite, and some call there sets each
-defaulted parameter of a public function."""
+the package or in the acceptance suite, some call there sets each defaulted
+parameter of a public function, and package code uses every private
+function, method and class."""
 import ast
 import importlib
 import inspect
@@ -141,3 +142,23 @@ def unset_options() -> list:
 
 def test_every_option_is_set_by_a_caller():
     assert unset_options() == sorted(UNSET_OPTIONS)
+
+
+def unused_private_definitions() -> list:
+    """``module.name`` of each private function, method or class (a leading
+    underscore, not a dunder) that no package code outside its own definition
+    refers to; a reference from the tests does not count."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    unused = []
+    for name, tree in sorted(trees.items()):
+        elsewhere = set().union(*(referenced(t) for other, t in trees.items() if other != name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.endswith("__") \
+                    and node.name not in elsewhere | referenced(tree, skip=node):
+                unused.append(f"{name}.{node.name}")
+    return unused
+
+
+def test_every_private_definition_is_used_by_the_package():
+    assert unused_private_definitions() == []

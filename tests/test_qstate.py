@@ -237,6 +237,12 @@ class TestFidelity:
         with pytest.raises(ValueError, match="not PSD"):
             fidelity(stack, np.eye(4) / 4)
 
+    def test_empty_stack_gives_an_empty_result(self):
+        # the rule of negativity and MeasurementSetup.operator
+        for sigma in (np.eye(4) / 4, np.zeros((0, 4, 4))):
+            values = fidelity(np.zeros((0, 4, 4)), sigma)
+            assert isinstance(values, np.ndarray) and values.shape == (0,)
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_rounding_floor_eigenvalues_do_not_amplify(self, rng, rank):
         # the zero eigenvalues of a rank-deficient state come out of eigh at

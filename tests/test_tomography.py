@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from spinwitness import stats, tomography
 from spinwitness.loophole import state_neg_log_likelihood
 from spinwitness.model import ScenarioParams, spin_state
-from spinwitness.qstate import MeasurementSetup, check_density_matrix, fidelity
+from spinwitness.qstate import MeasurementSetup, check_density_matrix, fidelity, negativity
 from spinwitness.stats import (distinction_success_rate, outcome_probabilities,
                                simulate_measurements)
 from spinwitness.tomography import (TOMOGRAPHY_OBSERVABLES, mle_reconstruct,
@@ -63,7 +65,7 @@ def fresh_array_mle(counts, iterations, setup=SETUP):
     total = counts.sum(axis=1)
     rho = np.broadcast_to(np.eye(8) / 4, (len(counts), 8, 8)).copy()
     for _ in range(iterations):
-        probs = setup._coordinate_probabilities(rho[:, :, :4].reshape(-1, 32))
+        probs = setup.probabilities(rho[:, :4, :4] + 1j * rho[:, 4:, :4])
         R = setup._real_operator(counts / (total[:, None] * np.maximum(probs, 1e-300)))
         rho = R @ rho @ R
         rho = rho + rho.swapaxes(-1, -2)
@@ -71,12 +73,19 @@ def fresh_array_mle(counts, iterations, setup=SETUP):
     return rho[:, :4, :4] + 0.5j * (rho[:, 4:, :4] - rho[:, :4, 4:])
 
 
+def tomography_counts(rho, per_observable, trials, seed, tag):
+    """(trials, 36) counts of ``rho`` from the (seed, tag, N) stream, N =
+    ``per_observable`` shots per tomography observable."""
+    return stats._draw_counts(outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES),
+                              per_observable, seed, (tag, per_observable), trials)
+
+
 def hypothesis_counts(per_observable, trials, seed=0, tag=99):
     """Tomography counts of the alternative and the null state at 350 um,
     gamma 0.3 and the optimal W1 time, as the exceedance test draws them."""
     tau = optimal_fall_time(P350).tau
-    return [tomography._tomo_counts(spin_state(P350.with_hypothesis(alt), tau),
-                                    per_observable, seed, tag, trials)
+    return [tomography_counts(spin_state(P350.with_hypothesis(alt), tau), per_observable,
+                              trials, seed, tag)
             for alt in (True, False)]
 
 
@@ -284,6 +293,14 @@ class TestMLE:
         assert mle_reconstruct(counts[order], SETUP,
                                iterations=20).tobytes() == rho[order].tobytes()
 
+    def test_empty_count_stack_gives_an_empty_stack(self):
+        # the rule of negativity and MeasurementSetup.operator
+        for iterations in (1, 100):
+            rho = mle_reconstruct(np.zeros((0, 36), dtype=np.int64), SETUP, iterations)
+            assert rho.shape == (0, 4, 4) and rho.dtype == complex
+        with pytest.raises(ValueError, match="shape"):
+            mle_reconstruct(np.zeros((0, 12), dtype=np.int64), SETUP)
+
     def test_count_width_must_match_setup(self):
         with pytest.raises(ValueError, match="shape"):
             mle_reconstruct(np.ones((3, 12)), SETUP)
@@ -327,6 +344,16 @@ class TestDistinction:
         with pytest.raises(ValueError, match=r"multiple of 9, got 18\.7"):
             negativity_exceedance(P450, 18.7, 100, 0)
 
+    @pytest.mark.parametrize("total", [18.0, 9.5, np.float64(27), True])
+    def test_non_integer_total_raises_naming_it(self, total):
+        # a whole float used to pass this check and fail in the sampler,
+        # naming a per-observable shot count the caller never passed
+        message = re.escape(f"total shots must be a positive multiple of 9, got {total!r}")
+        with pytest.raises(ValueError, match=message):
+            negativity_exceedance(P450, total, 100, 0)
+        with pytest.raises(ValueError, match=message):
+            reconstruction_batch(P450, total, 100, 0)
+
     def test_identical_hypotheses_control(self):
         rep = distinction_success_rate(P350, TOMOGRAPHY_OBSERVABLES, [20],
                                        alpha=0.01, trials=1000, seed=3,
@@ -357,6 +384,28 @@ class TestDistinction:
         values = iter([neg_a, neg_0])  # alternative first, then the null
         monkeypatch.setattr(tomo, "negativity", lambda rho: next(values))
         assert negativity_exceedance(P350, 9, trials=100, seed=0) == 0.07
+
+    def test_exceedance_follows_the_stream_contract(self):
+        # the alternative draws on (seed, 12, N), the null on (seed, 11, N);
+        # the threshold is the nearest-rank 99th percentile of the null
+        seed, N, trials = 4, 10, 100
+        tau = optimal_fall_time(P350).tau
+        neg_a, neg_0 = (
+            negativity(mle_reconstruct(tomography_counts(
+                spin_state(P350.with_hypothesis(alt), tau), N, trials, seed, tag), SETUP))
+            for alt, tag in ((True, 12), (False, 11)))
+        threshold = np.sort(neg_0)[math.ceil(0.99 * trials) - 1]
+        expected = float(np.mean(neg_a - threshold > 1e-12))
+        assert negativity_exceedance(P350, 9 * N, trials, seed) == expected
+
+    @pytest.mark.parametrize("hypothesis, alt, tag", [("alt", True, 13), ("null", False, 14)])
+    def test_reconstruction_batch_follows_the_stream_contract(self, hypothesis, alt, tag):
+        seed, N, trials = 5, 10, 40
+        rho = spin_state(P350.with_hypothesis(alt), optimal_fall_time(P350).tau)
+        rec = mle_reconstruct(tomography_counts(rho, N, trials, seed, tag), SETUP)
+        negs, fids = reconstruction_batch(P350, 9 * N, trials, seed, hypothesis)
+        assert negs.tobytes() == negativity(rec).tobytes()
+        assert fids.tobytes() == fidelity(rec, rho).tobytes()
 
     def test_exceedance_smoke(self):
         rate = negativity_exceedance(P450, 900, trials=200, seed=6)
