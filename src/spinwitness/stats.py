@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from .model import ScenarioParams, spin_state
 from .qstate import OUTCOME_SIGNS, MeasurementSetup
-from .witnesses import W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_form
+from .witnesses import _BLOCK, W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_form
 
 __all__ = [
     "ProbabilityVector",
@@ -172,31 +172,38 @@ def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
     return ProbabilityVector(MeasurementSetup(observables).probabilities(rho))
 
 
-def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int) -> np.ndarray:
-    """(trials, 4 * n_obs) int64 count rows of N shots per observable, one
-    substream per trial; every Monte Carlo path draws here, so this is where
-    N, ``trials`` and the seed are checked. One 2-D ``multinomial`` call per trial
-    draws the same counts but is slower (numpy 2.4.6, 2-core Xeon: 9.8 us for
-    3 rows against 1.4 us per 1-D call)."""
+def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int):
+    """Blocks of at most ``_BLOCK`` consecutive trials: (k, 4 * n_obs) int64
+    count rows of N shots per observable, one substream per trial, each
+    block drawn when the next one is asked for. Every Monte Carlo path
+    draws here, so this is where N, ``trials`` and the seed are checked,
+    when it is called and not at the first block."""
     if not (_is_count(N) and _is_count(trials)):
         raise ValueError(f"shot count N and trials must be integers >= 1, "
                          f"got N={N!r}, trials={trials!r}")
     _check_seed(seed)
     probs = pv.probs.reshape(-1, 4)
     rows = list(probs / probs.sum(axis=1, keepdims=True))
-    out = np.empty((trials, pv.probs.size), dtype=np.int64)
-    blocks = out.reshape(trials, -1, 4)
-    for t in range(trials):
+    return (_count_block(rows, N, seed, tags, range(start, min(start + _BLOCK, trials)))
+            for start in range(0, trials, _BLOCK))
+
+
+def _count_block(rows, N: int, seed: int, tags, block: range) -> np.ndarray:
+    """The count rows of the trials in ``block``: one 1-D ``multinomial`` of
+    N shots per observable row, from each trial's own substream."""
+    out = np.empty((len(block), len(rows), 4), dtype=np.int64)
+    for i, t in enumerate(block):
         rng = trial_rng(seed, tags, t)
-        blocks[t] = [rng.multinomial(N, row) for row in rows]
-    return out
+        out[i] = [rng.multinomial(N, row) for row in rows]
+    return out.reshape(len(block), -1)
 
 
 def simulate_measurements(rho: np.ndarray, observables, N: int, seed: int) -> np.ndarray:
     """One multinomial draw of N outcomes per observable, as an int64 count
     row; deterministic in seed."""
     pv = outcome_probabilities(rho, observables)
-    return _draw_counts(pv, N, seed, (_STREAM_TAGS["simulate"],), 1)[0]
+    (block,) = _draw_counts(pv, N, seed, (_STREAM_TAGS["simulate"],), 1)
+    return block[0]
 
 
 def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector):
@@ -242,11 +249,20 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
     return _lambda_threshold(p_0, p_a, N, alpha, trials, seed)
 
 
+def _lambdas(p_data: ProbabilityVector, p_a: ProbabilityVector, p_0: ProbabilityVector,
+             N: int, seed: int, role: str, trials: int) -> np.ndarray:
+    """The lambda of each of ``trials`` datasets drawn from ``p_data`` on the
+    role's (seed, tag, N) stream, reduced one block at a time."""
+    blocks = _draw_counts(p_data, N, seed, (_STREAM_TAGS[role], N), trials)
+    # map drops each count block once its lambda is taken, before the next is drawn
+    return np.concatenate(list(map(functools.partial(log_likelihood_ratio, p_a=p_a, p_0=p_0),
+                                   blocks)))
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _lambda_threshold(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int,
                       alpha: float, trials: int, seed: int) -> float:
-    counts = _draw_counts(p_0, N, seed, (_STREAM_TAGS["null"], N), trials)
-    lam0 = log_likelihood_ratio(counts, p_a, p_0)
+    lam0 = _lambdas(p_0, p_a, p_0, N, seed, "null", trials)
     value = float(np.percentile(lam0, 100.0 * (1.0 - alpha), method="inverted_cdf"))
     if value == -math.inf:
         raise RuntimeError(f"lambda_min at N={N} is -inf: {np.sum(lam0 == -math.inf)} "
@@ -285,8 +301,7 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     rates, lmins = [], []
     for N in shots_per_observable:
         lmin = lambda_min(p_0, p_a, N, alpha, lambda_trials, seed)
-        lam = log_likelihood_ratio(_draw_counts(p_data, N, seed, (_STREAM_TAGS["alt"], N), trials),
-                                   p_a, p_0)
+        lam = _lambdas(p_data, p_a, p_0, N, seed, "alt", trials)
         rates.append(float(np.mean(lam >= lmin)))
         lmins.append(lmin)
     n_obs = p_data.probs.size // 4
@@ -326,10 +341,11 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
     pv = outcome_probabilities(rho_a, W1_OBSERVABLES)
     rates = []
     for N in shots_per_observable:
-        counts = _draw_counts(pv, N, seed, (_STREAM_TAGS["witneg"], N), trials)
-        means = (counts.reshape(trials, -1, 4) * OUTCOME_SIGNS).sum(axis=2) / N
-        estimate = 1.0 - means.sum(axis=1)
-        rates.append(float(np.mean(estimate < 0.0)))
+        negative = []
+        for counts in _draw_counts(pv, N, seed, (_STREAM_TAGS["witneg"], N), trials):
+            means = (counts.reshape(len(counts), -1, 4) * OUTCOME_SIGNS).sum(axis=2) / N
+            negative.append(1.0 - means.sum(axis=1) < 0.0)
+        rates.append(float(np.mean(np.concatenate(negative))))
     return SuccessRateReport(
         shots_axis=tuple(3 * int(N) for N in shots_per_observable),
         rates=tuple(rates), lambda_min_used=tuple(math.nan for _ in rates))

@@ -3,6 +3,8 @@ outcome counts, and the tomography statistics built on it: reconstruction
 negativities and fidelities, and the negativity-exceedance test."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .model import ScenarioParams, spin_state
@@ -83,12 +85,17 @@ def _check_total(total_shots: int) -> int:
     return total_shots // 9
 
 
-def _reconstruct(p: ScenarioParams, tau, alt: bool, N: int, seed: int, tag: int, trials: int):
-    """The state of hypothesis ``alt`` at ``tau`` and its MLEs from the (seed, tag, N) stream."""
+def _reconstruct(p: ScenarioParams, tau, alt: bool, N: int, seed: int, tag: int, trials: int,
+                 reduce) -> np.ndarray:
+    """``reduce(mles, rho)`` of the state rho of hypothesis ``alt`` at ``tau``
+    and its MLEs from the (seed, tag, N) stream, one block of trials at a
+    time, concatenated along the last axis."""
     rho = spin_state(p.with_hypothesis(alt), tau)
     setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
     counts = _draw_counts(ProbabilityVector(setup.probabilities(rho)), N, seed, (tag, N), trials)
-    return rho, mle_reconstruct(counts, setup)
+    mles = map(mle_reconstruct, counts, itertools.repeat(setup))
+    # map drops each block's counts once its MLEs are made, and its MLEs once reduced
+    return np.concatenate(list(map(reduce, mles, itertools.repeat(rho))), axis=-1)
 
 
 def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: int,
@@ -99,8 +106,9 @@ def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: 
     its rounding. Both states are taken at the optimal W1 fall time."""
     N = _check_total(shots_per_tomography)
     tau = optimal_fall_time(p).tau
-    neg_a = negativity(_reconstruct(p, tau, True, N, seed, _STREAM_TAGS["tomo_alt"], trials)[1])
-    neg_0 = negativity(_reconstruct(p, tau, False, N, seed, _STREAM_TAGS["tomo_null"], trials)[1])
+    neg_a, neg_0 = (_reconstruct(p, tau, alt, N, seed, _STREAM_TAGS[tag], trials,
+                                 lambda rec, _: negativity(rec))
+                    for alt, tag in ((True, "tomo_alt"), (False, "tomo_null")))
     threshold = np.percentile(neg_0, 99.0, method="inverted_cdf")
     return float(np.mean(neg_a - threshold > 1e-12))
 
@@ -115,6 +123,7 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     if hypothesis not in ("alt", "null"):
         raise ValueError("hypothesis must be 'alt' or 'null'")
     N = _check_total(shots_per_tomography)
-    rho, rec = _reconstruct(p, optimal_fall_time(p).tau, hypothesis == "alt", N, seed,
-                            _STREAM_TAGS[f"batch_{hypothesis}"], trials)
-    return negativity(rec), fidelity(rec, rho)
+    neg, fid = _reconstruct(p, optimal_fall_time(p).tau, hypothesis == "alt", N, seed,
+                            _STREAM_TAGS[f"batch_{hypothesis}"], trials,
+                            lambda rec, rho: np.stack([negativity(rec), fidelity(rec, rho)]))
+    return neg, fid

@@ -53,7 +53,8 @@ def w1() -> WitnessSpec:
                         (-1.0, ("Z", "Y")), (-1.0, ("Y", "Z"))))
 
 
-#: times per block of a scan: no stack of states or of W grows with the grid
+#: times per block of a scan, and trials per block of a Monte Carlo draw: no
+#: stack of states, of W or of counts grows with the grid or the trial count
 _BLOCK = 512
 
 
@@ -114,13 +115,18 @@ class OptimalFallTime:
 
 
 def _golden_min(f, lo: float, hi: float):
-    """Golden-section minimization of a unimodal f on [lo, hi], to 1e-4."""
+    """Golden-section minimization of a unimodal f on [lo, hi], to 1e-4, or
+    until the bracket stops shrinking: where the float spacing exceeds 1e-4
+    the steps cycle through a few states (a, b, c, d), and a state seen
+    before ends the search at the bracket it would keep forever."""
     invphi = (np.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > 1e-4:
+    seen = set()
+    while b - a > 1e-4 and (a, b, c, d) not in seen:
+        seen.add((a, b, c, d))
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -12,7 +12,10 @@ recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux; another LAPACK
 build may round differently in the last bit and need a fresh recording.
 Each command runs in a fresh process with BLAS/OpenMP pinned to one thread,
 as in the benchmark harness: SLSQP's own BLAS calls round differently with
-one thread and with two, which moves the loophole search's iterates.
+one thread and with two, which moves the loophole search's iterates. Every
+other command must write the same bytes with two threads: one more case
+reruns each of them with every thread variable at 2, no more than the 2
+cores of the machine the digests were recorded on.
 A deliberate change of an output contract refreshes the digests it moves,
 and only those.
 """
@@ -31,6 +34,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 THREAD_ENV = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+#: two threads per library, for the outputs that must not depend on the count
+TWO_THREAD_ENV = dict.fromkeys(THREAD_ENV, "2")
 
 CONFIG = {
     "scenario": {"separation_d": 350e-6, "dephasing_gamma": 0.3},
@@ -152,7 +157,8 @@ SCAN_BENCHMARK_GOLDEN = {
 }
 
 
-def run_digests(command: str, tmp_path, config: dict = CONFIG, seed: int = 0) -> dict:
+def run_digests(command: str, tmp_path, config: dict = CONFIG, seed: int = 0,
+                threads: dict = THREAD_ENV) -> dict:
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -160,7 +166,7 @@ def run_digests(command: str, tmp_path, config: dict = CONFIG, seed: int = 0) ->
     proc = subprocess.run(
         [sys.executable, "-m", "spinwitness.cli", command, "--config", str(cfg),
          "--seed", str(seed), "--out", str(out)],
-        env={**os.environ, **THREAD_ENV, "PYTHONPATH": path},
+        env={**os.environ, **threads, "PYTHONPATH": path},
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -170,6 +176,11 @@ def run_digests(command: str, tmp_path, config: dict = CONFIG, seed: int = 0) ->
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_outputs_match_golden_digests(command, tmp_path):
     assert run_digests(command, tmp_path) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(set(GOLDEN) - {"loophole"}))
+def test_outputs_match_golden_digests_on_two_blas_threads(command, tmp_path):
+    assert run_digests(command, tmp_path, threads=TWO_THREAD_ENV) == GOLDEN[command]
 
 
 def test_loophole_at_benchmark_shape(tmp_path):

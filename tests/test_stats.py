@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinwitness import loophole, stats, tomography
+from spinwitness import loophole, stats, tomography, witnesses
 from spinwitness.model import ScenarioParams, spin_state
-from spinwitness.qstate import MeasurementSetup, eigenbasis, expectation
+from spinwitness.qstate import OUTCOME_SIGNS, MeasurementSetup, eigenbasis, expectation
 from spinwitness.loophole import LoopholeResult, OptimizationConfig
 from spinwitness.stats import (ProbabilityVector, differential_success_rate,
                                distinction_success_rate, lambda_min,
@@ -20,7 +20,7 @@ from spinwitness.stats import (ProbabilityVector, differential_success_rate,
                                success_rate_curve, trial_rng,
                                witness_negative_probability)
 from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_form
-from conftest import random_state
+from conftest import random_state, traced_peak
 
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
 P450 = ScenarioParams(dephasing_gamma=0.03)
@@ -215,7 +215,7 @@ class TestDrawCounts:
     def test_rows_equal_the_per_trial_definition(self, rng, observables, N, trials):
         pv = outcome_probabilities(random_state(rng), observables)
         for seed, tags in ((3, (TAG["null"], N)), (np.uint32(95003), (TAG["tomo_alt"], N))):
-            counts = stats._draw_counts(pv, N, seed, tags, trials)
+            counts = np.concatenate(list(stats._draw_counts(pv, N, seed, tags, trials)))
             assert counts.shape == (trials, 4 * len(observables)) and counts.dtype == np.int64
             assert np.array_equal(counts, reference_counts(pv, N, seed, tags, trials))
 
@@ -224,7 +224,7 @@ class TestDrawCounts:
         monkeypatch.setattr(stats, "trial_rng",
                             lambda *args: calls.append(args) or trial_rng(*args))
         pv = outcome_probabilities(np.eye(4) / 4, W1_OBSERVABLES)
-        stats._draw_counts(pv, 10, 4, (TAG["alt"], 10), 37)
+        np.concatenate(list(stats._draw_counts(pv, 10, 4, (TAG["alt"], 10), 37)))
         assert calls == [(4, (TAG["alt"], 10), t) for t in range(37)]
 
     def test_hashes_each_stream_once(self):
@@ -234,8 +234,71 @@ class TestDrawCounts:
         for tags, added in (((TAG["alt"], 9876), 1), ((TAG["alt"], 9876), 0),
                             ((TAG["null"], 9876), 1)):
             before = misses()
-            stats._draw_counts(pv, 5, 8, tags, 50)
+            np.concatenate(list(stats._draw_counts(pv, 5, 8, tags, 50)))
             assert misses() - before == added
+
+
+    @pytest.mark.parametrize("trials", [511, 512, 513, 1025])
+    def test_blocks_of_512_consecutive_trials_keep_every_count(self, rng, trials):
+        pv = outcome_probabilities(random_state(rng), W1_OBSERVABLES)
+        tags = (TAG["alt"], 10)
+        blocks = list(stats._draw_counts(pv, 10, 5, tags, trials))
+        assert [len(b) for b in blocks] == \
+            [min(witnesses._BLOCK, trials - start) for start in range(0, trials, witnesses._BLOCK)]
+        assert all(b.shape[1] == 12 and b.dtype == np.int64 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), reference_counts(pv, 10, 5, tags, trials))
+
+    @pytest.mark.parametrize("N, trials, seed", [(0, 5, 1), (2.5, 5, 1), (True, 5, 1),
+                                                 (10, 0, 1), (10, 5.0, 1), (10, 5, -1),
+                                                 (10, 5, 1.5), (10, 5, True)])
+    def test_bad_size_or_seed_raises_when_called_not_when_drawn(self, N, trials, seed):
+        pv = outcome_probabilities(np.eye(4) / 4, W1_OBSERVABLES)
+        with pytest.raises(ValueError, match="N and trials must be integers|seed must be"):
+            stats._draw_counts(pv, N, seed, (TAG["alt"], 10), trials)  # no block asked for
+
+
+class TestBlockReductions:
+    """Every consumer reduces one block of trials at a time and returns the
+    bits of the reduction of the whole per-trial count stack: lambda rows,
+    thresholds and rates."""
+
+    @pytest.mark.parametrize("trials", [511, 512, 513, 1025])
+    def test_equal_the_whole_stack_values(self, trials):
+        N, seed = 33, 7
+        tau = optimal_fall_time(P350).tau
+        p_a, p_0 = (outcome_probabilities(spin_state(P350.with_hypothesis(alt), tau),
+                                          W1_OBSERVABLES) for alt in (True, False))
+
+        def whole(pv, role):
+            return reference_counts(pv, N, seed, (TAG[role], N), trials)
+
+        lam0 = log_likelihood_ratio(whole(p_0, "null"), p_a, p_0)
+        assert stats._lambdas(p_0, p_a, p_0, N, seed, "null", trials).tobytes() == lam0.tobytes()
+        lmin = float(np.percentile(lam0, 99.0, method="inverted_cdf"))
+        stats._lambda_threshold.cache_clear()
+        assert lambda_min(p_0, p_a, N, 0.01, trials, seed) == lmin
+        lam = log_likelihood_ratio(whole(p_a, "alt"), p_a, p_0)
+        report = success_rate_curve(p_a, p_a, p_0, [N], 0.01, trials, seed, trials)
+        assert report.rates == (float(np.mean(lam >= lmin)),)
+        means = (whole(p_a, "witneg").reshape(trials, -1, 4) * OUTCOME_SIGNS).sum(axis=2) / N
+        expected = float(np.mean(1.0 - means.sum(axis=1) < 0.0))
+        assert witness_negative_probability(P350, [N], trials, seed).rates == (expected,)
+
+    def test_lambda_min_peak_grows_by_at_most_two_floats_per_trial(self):
+        # one block of counts and its lambda are alive at a time: only the
+        # lambda vector and its sorted copy grow with the trial count (the
+        # whole count stack and its two float copies grew by 5.3 MB here)
+        tau = optimal_fall_time(P350).tau
+        p_a, p_0 = (outcome_probabilities(spin_state(P350.with_hypothesis(alt), tau),
+                                          W1_OBSERVABLES) for alt in (True, False))
+
+        def peak(trials):
+            def call():
+                stats._lambda_threshold.cache_clear()
+                lambda_min(p_0, p_a, 100, 0.01, trials, 3)
+            return traced_peak(call)
+
+        assert peak(20000) - peak(2000) <= 2 * 8 * (20000 - 2000)
 
 
 class TestSimulateMeasurements:
@@ -567,7 +630,8 @@ class TestLambdaMin:
                                           W1_OBSERVABLES) for alt in (True, False))
         N, seed = 33, 9
         lam = np.sort(log_likelihood_ratio(
-            stats._draw_counts(p_0, N, seed, (TAG["null"], N), trials), p_a, p_0))
+            np.concatenate(list(stats._draw_counts(p_0, N, seed, (TAG["null"], N), trials))),
+            p_a, p_0))
         at_or_below = np.searchsorted(lam, lam, side="right")
         expected = lam[np.argmax(100 * at_or_below >= (100 - percent) * trials)]
         assert lambda_min(p_0, p_a, N, percent / 100, trials, seed) == expected

@@ -76,8 +76,9 @@ def fresh_array_mle(counts, iterations, setup=SETUP):
 def tomography_counts(rho, per_observable, trials, seed, tag):
     """(trials, 36) counts of ``rho`` from the (seed, tag, N) stream, N =
     ``per_observable`` shots per tomography observable."""
-    return stats._draw_counts(outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES),
-                              per_observable, seed, (tag, per_observable), trials)
+    return np.concatenate(list(stats._draw_counts(outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES),
+                                                  per_observable, seed, (tag, per_observable),
+                                                  trials)))
 
 
 def hypothesis_counts(per_observable, trials, seed=0, tag=99):
@@ -406,6 +407,22 @@ class TestDistinction:
         negs, fids = reconstruction_batch(P350, 9 * N, trials, seed, hypothesis)
         assert negs.tobytes() == negativity(rec).tobytes()
         assert fids.tobytes() == fidelity(rec, rho).tobytes()
+
+    @pytest.mark.parametrize("trials", [511, 512, 513, 1025])
+    def test_block_reductions_equal_the_whole_stack(self, trials):
+        # each block of 512 trials is reconstructed and reduced on its own;
+        # the outputs keep the bits of one MLE over the whole count stack
+        seed, N = 6, 2
+        tau = optimal_fall_time(P350).tau
+        rhos = {alt: spin_state(P350.with_hypothesis(alt), tau) for alt in (True, False)}
+        rec = {tag: mle_reconstruct(tomography_counts(rhos[alt], N, trials, seed, tag), SETUP)
+               for alt, tag in ((True, 12), (False, 11), (True, 13))}
+        threshold = np.percentile(negativity(rec[11]), 99.0, method="inverted_cdf")
+        expected = float(np.mean(negativity(rec[12]) - threshold > 1e-12))
+        assert negativity_exceedance(P350, 9 * N, trials, seed) == expected
+        negs, fids = reconstruction_batch(P350, 9 * N, trials, seed)
+        assert negs.tobytes() == negativity(rec[13]).tobytes()
+        assert fids.tobytes() == fidelity(rec[13], rhos[True]).tobytes()
 
     def test_exceedance_smoke(self):
         rate = negativity_exceedance(P450, 900, trials=200, seed=6)

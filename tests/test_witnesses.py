@@ -1,9 +1,14 @@
+import contextlib
 import dataclasses
 import json
+import math
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwitness import witnesses
 from spinwitness.model import ScenarioParams, phase_rates, spin_state
@@ -220,6 +225,78 @@ class TestOptimalFallTime:
         with pytest.raises(ValueError,
                            match=f"tau_max must be finite and positive, got {tau_max}"):
             optimal_fall_time(P350, tau_max=tau_max)
+
+
+@contextlib.contextmanager
+def alarm(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` have passed
+    (SIGALRM), so a call that never returns fails instead of stalling."""
+    def ring(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestGoldenSectionEnds:
+    """Where the float spacing at tau* exceeds 1e-4 s no bracket gets that
+    narrow: the search used to loop forever there (above tau* ~ 5.5e11 s)."""
+
+    @pytest.mark.parametrize("p, tau_max", [
+        (ScenarioParams(separation_d=1e-3, half_split_delta=1e-9), None),  # tau_max 2.5e13 s
+        (ScenarioParams(), 1e13),
+    ])
+    def test_returns_within_a_second(self, p, tau_max):
+        with alarm(1):
+            opt = optimal_fall_time(p, tau_max)
+        assert 0 < opt.tau <= (tau_max or math.inf) and opt.witnessing
+
+    def test_keeps_its_bits_where_the_loop_ended_before(self):
+        # tau* = 1.894e11 s: the bracket still narrows below 1e-4 s, at a
+        # spacing of 3e-5 s
+        p = ScenarioParams(separation_d=1e-3, half_split_delta=1e-8)
+        assert optimal_fall_time(p) == oracle_optimal_fall_time(p)
+        assert optimal_fall_time(p).tau == pytest.approx(1.894e11, rel=1e-3)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def scenarios(draw):
+    """ScenarioParams over its whole validated domain, each field log-uniform
+    over many decades; a field that may be 0 is 0 in some draws."""
+    d = draw(log_uniform(1e-8, 10.0))
+    # any split that leaves the branches apart: d - 2 delta > 0
+    delta = draw(st.just(0.0) | log_uniform(1e-12, 0.999).map(lambda f: f * d / 2))
+    return ScenarioParams(
+        mass=draw(log_uniform(1e-20, 1e-3)), separation_d=d, half_split_delta=delta,
+        trap_omega=draw(log_uniform(1e-3, 1e9)),
+        mean_occupation_nbar=draw(st.just(0.0) | log_uniform(1e-3, 1e12)),
+        dephasing_gamma=draw(st.just(0.0) | log_uniform(1e-6, 1e6)),
+        sphere_radius_R=draw(log_uniform(1e-9, 1e-3)),
+        permittivity_eps=draw(st.just(1.0) | log_uniform(1e-6, 1e3).map(lambda e: 1.0 + e)),
+        cp_scale=draw(st.just(0.0) | log_uniform(1e-6, 1e3)),
+        gravity_on=draw(st.booleans()))
+
+
+@settings(max_examples=400)
+@given(scenarios())
+def test_optimal_fall_time_returns_or_raises_over_the_scenario_domain(p):
+    # a hang fails here by the alarm; hypothesis' deadline would fire only
+    # after the call returned
+    with alarm(1):
+        try:
+            opt = optimal_fall_time(p)
+        except (ValueError, RuntimeError, ArithmeticError):
+            return
+    assert 0.0 <= opt.tau < math.inf and math.isfinite(opt.expectation)
 
 
 def oracle_optimal_fall_time(p, tau_max=None):
