@@ -114,7 +114,7 @@ def cmd_scan_witness(p: model.ScenarioParams, opts: dict, out: Path, seed: int) 
             _write_table(out / f"witness_{name}_gamma{tag}.csv", "tau_s,value,gamma", row,
                          tau_cells, witnesses.witness_scan(pg, w, taus))
         _write_table(out / f"negativity_gamma{tag}.csv", "tau_s,value,gamma", row, tau_cells,
-                     np.concatenate([negativity(r) for r in witnesses._state_blocks(pg, taus)]))
+                     np.concatenate(list(map(negativity, witnesses._state_blocks(pg, taus)))))
 
 
 def cmd_success(p: model.ScenarioParams, opts: dict, out: Path, seed: int) -> None:

@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -172,20 +172,20 @@ def outcome_probabilities(rho: np.ndarray, observables) -> ProbabilityVector:
     return ProbabilityVector(MeasurementSetup(observables).probabilities(rho))
 
 
-def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int):
-    """Blocks of at most ``_BLOCK`` consecutive trials: (k, 4 * n_obs) int64
-    count rows of N shots per observable, one substream per trial, each
-    block drawn when the next one is asked for. Every Monte Carlo path
-    draws here, so this is where N, ``trials`` and the seed are checked,
-    when it is called and not at the first block."""
+def _draw_counts(pv: ProbabilityVector, N: int, seed: int, tags, trials: int,
+                 reduce) -> np.ndarray:
+    """``reduce`` of each block of at most ``_BLOCK`` trials' int64 count rows
+    (N shots per observable, one substream per trial), concatenated along the
+    trial axis; each block is dropped once reduced, before the next is drawn.
+    N, ``trials`` and the seed of every Monte Carlo path are checked here."""
     if not (_is_count(N) and _is_count(trials)):
         raise ValueError(f"shot count N and trials must be integers >= 1, "
                          f"got N={N!r}, trials={trials!r}")
     _check_seed(seed)
     probs = pv.probs.reshape(-1, 4)
     rows = list(probs / probs.sum(axis=1, keepdims=True))
-    return (_count_block(rows, N, seed, tags, range(start, min(start + _BLOCK, trials)))
-            for start in range(0, trials, _BLOCK))
+    blocks = (range(start, min(start + _BLOCK, trials)) for start in range(0, trials, _BLOCK))
+    return np.concatenate([reduce(_count_block(rows, N, seed, tags, b)) for b in blocks])
 
 
 def _count_block(rows, N: int, seed: int, tags, block: range) -> np.ndarray:
@@ -202,8 +202,7 @@ def simulate_measurements(rho: np.ndarray, observables, N: int, seed: int) -> np
     """One multinomial draw of N outcomes per observable, as an int64 count
     row; deterministic in seed."""
     pv = outcome_probabilities(rho, observables)
-    (block,) = _draw_counts(pv, N, seed, (_STREAM_TAGS["simulate"],), 1)
-    return block[0]
+    return _draw_counts(pv, N, seed, (_STREAM_TAGS["simulate"],), 1, lambda c: c)[0]
 
 
 def log_likelihood_ratio(counts, p_a: ProbabilityVector, p_0: ProbabilityVector):
@@ -249,20 +248,11 @@ def lambda_min(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int, alpha: fl
     return _lambda_threshold(p_0, p_a, N, alpha, trials, seed)
 
 
-def _lambdas(p_data: ProbabilityVector, p_a: ProbabilityVector, p_0: ProbabilityVector,
-             N: int, seed: int, role: str, trials: int) -> np.ndarray:
-    """The lambda of each of ``trials`` datasets drawn from ``p_data`` on the
-    role's (seed, tag, N) stream, reduced one block at a time."""
-    blocks = _draw_counts(p_data, N, seed, (_STREAM_TAGS[role], N), trials)
-    # map drops each count block once its lambda is taken, before the next is drawn
-    return np.concatenate(list(map(functools.partial(log_likelihood_ratio, p_a=p_a, p_0=p_0),
-                                   blocks)))
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _lambda_threshold(p_0: ProbabilityVector, p_a: ProbabilityVector, N: int,
                       alpha: float, trials: int, seed: int) -> float:
-    lam0 = _lambdas(p_0, p_a, p_0, N, seed, "null", trials)
+    lam0 = _draw_counts(p_0, N, seed, (_STREAM_TAGS["null"], N), trials,
+                        functools.partial(log_likelihood_ratio, p_a=p_a, p_0=p_0))
     value = float(np.percentile(lam0, 100.0 * (1.0 - alpha), method="inverted_cdf"))
     if value == -math.inf:
         raise RuntimeError(f"lambda_min at N={N} is -inf: {np.sum(lam0 == -math.inf)} "
@@ -301,7 +291,8 @@ def success_rate_curve(p_data: ProbabilityVector, p_a: ProbabilityVector,
     rates, lmins = [], []
     for N in shots_per_observable:
         lmin = lambda_min(p_0, p_a, N, alpha, lambda_trials, seed)
-        lam = _lambdas(p_data, p_a, p_0, N, seed, "alt", trials)
+        lam = _draw_counts(p_data, N, seed, (_STREAM_TAGS["alt"], N), trials,
+                           functools.partial(log_likelihood_ratio, p_a=p_a, p_0=p_0))
         rates.append(float(np.mean(lam >= lmin)))
         lmins.append(lmin)
     n_obs = p_data.probs.size // 4
@@ -337,15 +328,15 @@ def witness_negative_probability(p: ScenarioParams, shots_per_observable,
     mean of N +-1 outcomes."""
     if tau is None:
         tau = optimal_fall_time(p).tau
-    rho_a = spin_state(p.with_hypothesis(True), tau)
-    pv = outcome_probabilities(rho_a, W1_OBSERVABLES)
-    rates = []
-    for N in shots_per_observable:
-        negative = []
-        for counts in _draw_counts(pv, N, seed, (_STREAM_TAGS["witneg"], N), trials):
-            means = (counts.reshape(len(counts), -1, 4) * OUTCOME_SIGNS).sum(axis=2) / N
-            negative.append(1.0 - means.sum(axis=1) < 0.0)
-        rates.append(float(np.mean(np.concatenate(negative))))
+    pv = outcome_probabilities(spin_state(p.with_hypothesis(True), tau), W1_OBSERVABLES)
+
+    def negative(counts, N):
+        means = (counts.reshape(len(counts), -1, 4) * OUTCOME_SIGNS).sum(axis=2) / N
+        return 1.0 - means.sum(axis=1) < 0.0
+
+    rates = [float(np.mean(_draw_counts(pv, N, seed, (_STREAM_TAGS["witneg"], N), trials,
+                                        functools.partial(negative, N=N))))
+             for N in shots_per_observable]
     return SuccessRateReport(
         shots_axis=tuple(3 * int(N) for N in shots_per_observable),
         rates=tuple(rates), lambda_min_used=tuple(math.nan for _ in rates))
@@ -386,11 +377,12 @@ def differential_success_rate(p: ScenarioParams, shots_per_observable, alpha: fl
     """Distinction success rate against the hardest gravity-free hypothesis:
     the null coupling is rescaled so both hypotheses share the W1 expectation
     at its optimal fall time, leaving only the per-observable discrepancies."""
-    tau = optimal_fall_time(p).tau
+    tau, _, witnessing = astuple(optimal_fall_time(p))
+    if not witnessing:
+        raise ValueError("W1 never goes negative in this scenario: no fall time to match")
     scale = match_alpha(p, tau)
-    rho_a = spin_state(p.with_hypothesis(True), tau)
+    p_a = outcome_probabilities(spin_state(p.with_hypothesis(True), tau), W1_OBSERVABLES)
     rho_0 = spin_state(p.with_hypothesis(False, cp_scale=p.cp_scale * scale), tau)
-    p_a = outcome_probabilities(rho_a, W1_OBSERVABLES)
     p_0 = outcome_probabilities(rho_0, W1_OBSERVABLES)
     report = success_rate_curve(p_a, p_a, p_0, shots_per_observable, alpha, trials, seed,
                                 lambda_trials)

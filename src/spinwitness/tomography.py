@@ -3,8 +3,6 @@ outcome counts, and the tomography statistics built on it: reconstruction
 negativities and fidelities, and the negativity-exceedance test."""
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .model import ScenarioParams, spin_state
@@ -89,13 +87,11 @@ def _reconstruct(p: ScenarioParams, tau, alt: bool, N: int, seed: int, tag: int,
                  reduce) -> np.ndarray:
     """``reduce(mles, rho)`` of the state rho of hypothesis ``alt`` at ``tau``
     and its MLEs from the (seed, tag, N) stream, one block of trials at a
-    time, concatenated along the last axis."""
+    time, concatenated along the first axis."""
     rho = spin_state(p.with_hypothesis(alt), tau)
     setup = MeasurementSetup(TOMOGRAPHY_OBSERVABLES)
-    counts = _draw_counts(ProbabilityVector(setup.probabilities(rho)), N, seed, (tag, N), trials)
-    mles = map(mle_reconstruct, counts, itertools.repeat(setup))
-    # map drops each block's counts once its MLEs are made, and its MLEs once reduced
-    return np.concatenate(list(map(reduce, mles, itertools.repeat(rho))), axis=-1)
+    return _draw_counts(ProbabilityVector(setup.probabilities(rho)), N, seed, (tag, N), trials,
+                        lambda counts: reduce(mle_reconstruct(counts, setup), rho))
 
 
 def negativity_exceedance(p: ScenarioParams, shots_per_tomography: int, trials: int,
@@ -125,5 +121,5 @@ def reconstruction_batch(p: ScenarioParams, shots_per_tomography: int, trials: i
     N = _check_total(shots_per_tomography)
     neg, fid = _reconstruct(p, optimal_fall_time(p).tau, hypothesis == "alt", N, seed,
                             _STREAM_TAGS[f"batch_{hypothesis}"], trials,
-                            lambda rec, rho: np.stack([negativity(rec), fidelity(rec, rho)]))
+                            lambda rec, rho: np.stack([negativity(rec), fidelity(rec, rho)], -1)).T
     return neg, fid

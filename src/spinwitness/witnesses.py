@@ -70,10 +70,14 @@ def witness_expectation(p: ScenarioParams, tau, w: WitnessSpec) -> np.ndarray | 
     as one stacked product (per-state bits): only the result grows with the grid."""
     vals = np.empty(np.size(tau))
     ws = np.empty((min(vals.size, _BLOCK), 4, 4), dtype=complex)
-    for start, rho in zip(range(0, vals.size, _BLOCK), _state_blocks(p, tau)):
+
+    def trace(rho):  # through map: each block is dropped once traced, before the next is built
         for j in range(len(rho)):
             ws[j] = w.matrix()
-        vals[start:start + _BLOCK] = np.trace(ws[:len(rho)] @ rho, axis1=-2, axis2=-1).real
+        return np.trace(ws[:len(rho)] @ rho, axis1=-2, axis2=-1).real
+
+    for start, block in zip(range(0, vals.size, _BLOCK), map(trace, _state_blocks(p, tau))):
+        vals[start:start + _BLOCK] = block
     return float(vals[0]) if np.isscalar(tau) else vals.reshape(np.shape(tau))
 
 
@@ -152,7 +156,7 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
     if tau_max is None:
         total = rates.omega_lr + rates.omega_rl
         if total <= 0:
-            raise ValueError("cannot choose a default window: zero phase rate")
+            raise ValueError(f"cannot choose a default window: {rates!r} sum to {total!r} <= 0")
         tau_max = 4 * np.pi / total
     if not 0 < tau_max < math.inf:
         raise ValueError(f"tau_max must be finite and positive, got {tau_max!r}")
@@ -163,9 +167,7 @@ def optimal_fall_time(p: ScenarioParams, tau_max: float | None = None) -> Optima
     grid = np.linspace(0.0, tau_max, 2000)
     vals = _w1_closed_form(rates, alt.dephasing_gamma, grid)
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    tau, val = _golden_min(f, lo, hi)
+    tau, val = _golden_min(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
     if vals[i] < val:
         tau, val = grid[i], vals[i]
     return OptimalFallTime(float(tau), float(val), witnessing=bool(val < 0))

@@ -1,16 +1,24 @@
 """Shared samplers and brute-force oracles, kept independent of the package
 paths they check."""
+import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 # property tests: the same examples on every run, no example database written
 # into the checkout, and no per-example deadline on a busy shared host
 settings.register_profile("spinwitness", database=None, deadline=None,
                           derandomize=True)
 settings.load_profile("spinwitness")
+
+# a falsified property's .hypothesis/patches file goes to a directory removed
+# at exit, not into the working directory: database=None does not stop it
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="spinwitness-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # independent Pauli literals for oracle-side computations
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,6 +106,22 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def alive_at_each_call(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to record, as each call starts, how many of the
+    arrays that earlier calls returned are still alive; the returned list
+    fills call by call. The records hold weak references only."""
+    fn, made, alive = getattr(module, name), [], []
+
+    def spy(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        out = fn(*args, **kwargs)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return alive
 
 
 @pytest.fixture

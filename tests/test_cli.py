@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwitness import cli, loophole, tomography
+from spinwitness import cli, loophole, tomography, witnesses
 from spinwitness.cli import (_CHUNK, _COMMANDS, _FLOAT, _G, _SECTION_NAME, _write_table,
                              main)
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import check_density_matrix, negativity
 from spinwitness.witnesses import w0, w1, witness_expectation
-from conftest import traced_peak
+from conftest import alive_at_each_call, traced_peak
 from test_golden import CONFIG as GOLDEN_CONFIG
+from test_stats import NEVER_WITNESSING
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -178,6 +179,14 @@ class TestScan:
                 ScenarioParams(**SMALL_SCENARIO), opts, tmp_path, 0))
 
         assert peak(24005) - peak(4801) < 16 * 16 * (24005 - 4801)
+
+    def test_scans_drop_each_block_before_building_the_next(self, tmp_path, monkeypatch):
+        # the negativity column's list comprehension, like the witness scans'
+        # zip, held the last block while spin_state built the next one
+        alive = alive_at_each_call(monkeypatch, witnesses, "spin_state")
+        opts = {"gammas": [0.3], "tau_max": 30.0, "points": 1500}
+        cli.cmd_scan_witness(ScenarioParams(**SMALL_SCENARIO), opts, tmp_path, 0)
+        assert alive == [0] * 9  # three blocks each for W0, W1 and the negativity
 
     def test_invalid_tau_in_a_later_block_exits_2_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch):
@@ -422,6 +431,16 @@ class TestErrors:
         assert f"{where} must be a real number, got an integer too large for a float" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    def test_differential_without_witnessing_exits_2(self, tmp_path, capsys):
+        # it used to exit 2 naming "tau ... 0.0", a fall time the config never set
+        cfg = write_config(tmp_path, {"scenario": NEVER_WITNESSING, "differential": {
+            "shots_per_observable": [50], "trials": 100, "lambda_trials": 100}})
+        out = tmp_path / "x"
+        assert run(["differential", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "W1 never goes negative in this scenario" in err and "tau must" not in err
+        assert not any(out.iterdir())
 
     def test_infinite_separation_exits_2(self, tmp_path):
         cfg = tmp_path / "inf.json"

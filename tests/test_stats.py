@@ -1,6 +1,8 @@
+import functools
 import math
 import pickle
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +21,19 @@ from spinwitness.stats import (ProbabilityVector, differential_success_rate,
                                outcome_probabilities, simulate_measurements,
                                success_rate_curve, trial_rng,
                                witness_negative_probability)
-from spinwitness.witnesses import W1_OBSERVABLES, optimal_fall_time, w1_expectation_closed_form
-from conftest import random_state, traced_peak
+from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime, optimal_fall_time,
+                                   w1_expectation_closed_form)
+from conftest import alive_at_each_call, random_state, traced_peak
 
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
 P450 = ScenarioParams(dephasing_gamma=0.03)
+
+#: a scenario whose W1 expectation never goes negative: its optimal fall time is 0
+NEVER_WITNESSING = {
+    "mass": 1.4074608545142161e-11, "separation_d": 0.060480862804786636,
+    "half_split_delta": 8.737553380302597e-05, "dephasing_gamma": 0.2766780293687673,
+    "sphere_radius_R": 6.371624645952766e-09, "permittivity_eps": 1.0042463606629397,
+    "cp_scale": 0.00022951975094356812}
 
 ZZ = (("Z", "Z"),)
 
@@ -196,6 +206,11 @@ class TestTrialRng:
             trial_rng(2, (1, 10), 0).bit_generator.state
 
 
+def identity(counts):
+    """The reduction that keeps each block of count rows as drawn."""
+    return counts
+
+
 def reference_counts(pv, N, seed, tags, trials):
     """The documented draws: trial t's generator, then one multinomial of N
     shots per observable over its normalized block, in order."""
@@ -215,7 +230,7 @@ class TestDrawCounts:
     def test_rows_equal_the_per_trial_definition(self, rng, observables, N, trials):
         pv = outcome_probabilities(random_state(rng), observables)
         for seed, tags in ((3, (TAG["null"], N)), (np.uint32(95003), (TAG["tomo_alt"], N))):
-            counts = np.concatenate(list(stats._draw_counts(pv, N, seed, tags, trials)))
+            counts = stats._draw_counts(pv, N, seed, tags, trials, identity)
             assert counts.shape == (trials, 4 * len(observables)) and counts.dtype == np.int64
             assert np.array_equal(counts, reference_counts(pv, N, seed, tags, trials))
 
@@ -224,7 +239,7 @@ class TestDrawCounts:
         monkeypatch.setattr(stats, "trial_rng",
                             lambda *args: calls.append(args) or trial_rng(*args))
         pv = outcome_probabilities(np.eye(4) / 4, W1_OBSERVABLES)
-        np.concatenate(list(stats._draw_counts(pv, 10, 4, (TAG["alt"], 10), 37)))
+        stats._draw_counts(pv, 10, 4, (TAG["alt"], 10), 37, identity)
         assert calls == [(4, (TAG["alt"], 10), t) for t in range(37)]
 
     def test_hashes_each_stream_once(self):
@@ -234,7 +249,7 @@ class TestDrawCounts:
         for tags, added in (((TAG["alt"], 9876), 1), ((TAG["alt"], 9876), 0),
                             ((TAG["null"], 9876), 1)):
             before = misses()
-            np.concatenate(list(stats._draw_counts(pv, 5, 8, tags, 50)))
+            stats._draw_counts(pv, 5, 8, tags, 50, identity)
             assert misses() - before == added
 
 
@@ -242,19 +257,43 @@ class TestDrawCounts:
     def test_blocks_of_512_consecutive_trials_keep_every_count(self, rng, trials):
         pv = outcome_probabilities(random_state(rng), W1_OBSERVABLES)
         tags = (TAG["alt"], 10)
-        blocks = list(stats._draw_counts(pv, 10, 5, tags, trials))
+        blocks = []
+        counts = stats._draw_counts(pv, 10, 5, tags, trials, lambda b: blocks.append(b) or b)
         assert [len(b) for b in blocks] == \
             [min(witnesses._BLOCK, trials - start) for start in range(0, trials, witnesses._BLOCK)]
         assert all(b.shape[1] == 12 and b.dtype == np.int64 for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), reference_counts(pv, 10, 5, tags, trials))
+        assert np.array_equal(counts, reference_counts(pv, 10, 5, tags, trials))
+
+    def test_drops_each_block_once_reduced_before_drawing_the_next(self, monkeypatch):
+        # a loop appending each block's reduction held that block while the
+        # next was drawn: no earlier block may be alive at a draw or a reduce
+        drawn = alive_at_each_call(monkeypatch, stats, "_count_block")
+        reduced, alive = [], []
+
+        def reduce(block):
+            alive.append(sum(ref() is not None for ref in reduced))
+            reduced.append(weakref.ref(block))
+            return block.sum(axis=1)
+
+        pv = outcome_probabilities(np.eye(4) / 4, W1_OBSERVABLES)
+        trials = 3 * witnesses._BLOCK + 1
+        totals = stats._draw_counts(pv, 10, 3, (TAG["alt"], 10), trials, reduce)
+        assert drawn == alive == [0, 0, 0, 0]
+        assert totals.tobytes() == np.full(trials, 30).tobytes()
 
     @pytest.mark.parametrize("N, trials, seed", [(0, 5, 1), (2.5, 5, 1), (True, 5, 1),
                                                  (10, 0, 1), (10, 5.0, 1), (10, 5, -1),
                                                  (10, 5, 1.5), (10, 5, True)])
-    def test_bad_size_or_seed_raises_when_called_not_when_drawn(self, N, trials, seed):
+    def test_bad_size_or_seed_raises_when_called_not_when_drawn(self, monkeypatch, N, trials,
+                                                                seed):
+        # the raise comes before any block is drawn or reduced
+        def no_block(*args):
+            raise AssertionError("a count block was drawn or reduced")
+
+        monkeypatch.setattr(stats, "_count_block", no_block)
         pv = outcome_probabilities(np.eye(4) / 4, W1_OBSERVABLES)
         with pytest.raises(ValueError, match="N and trials must be integers|seed must be"):
-            stats._draw_counts(pv, N, seed, (TAG["alt"], 10), trials)  # no block asked for
+            stats._draw_counts(pv, N, seed, (TAG["alt"], 10), trials, no_block)
 
 
 class TestBlockReductions:
@@ -273,7 +312,9 @@ class TestBlockReductions:
             return reference_counts(pv, N, seed, (TAG[role], N), trials)
 
         lam0 = log_likelihood_ratio(whole(p_0, "null"), p_a, p_0)
-        assert stats._lambdas(p_0, p_a, p_0, N, seed, "null", trials).tobytes() == lam0.tobytes()
+        lam = functools.partial(log_likelihood_ratio, p_a=p_a, p_0=p_0)
+        assert stats._draw_counts(p_0, N, seed, (TAG["null"], N), trials, lam).tobytes() == \
+            lam0.tobytes()
         lmin = float(np.percentile(lam0, 99.0, method="inverted_cdf"))
         stats._lambda_threshold.cache_clear()
         assert lambda_min(p_0, p_a, N, 0.01, trials, seed) == lmin
@@ -630,7 +671,7 @@ class TestLambdaMin:
                                           W1_OBSERVABLES) for alt in (True, False))
         N, seed = 33, 9
         lam = np.sort(log_likelihood_ratio(
-            np.concatenate(list(stats._draw_counts(p_0, N, seed, (TAG["null"], N), trials))),
+            stats._draw_counts(p_0, N, seed, (TAG["null"], N), trials, identity),
             p_a, p_0))
         at_or_below = np.searchsorted(lam, lam, side="right")
         expected = lam[np.argmax(100 * at_or_below >= (100 - percent) * trials)]
@@ -803,6 +844,15 @@ class TestDifferential:
         diffs = [abs(expectation(rho_a, obs) - expectation(rho_0, obs))
                  for obs in W1_OBSERVABLES]
         assert max(diffs) > 1e-3
+
+    def test_scenario_without_witnessing_raises_before_matching(self, monkeypatch):
+        # match_alpha used to raise "tau must be finite and positive, got 0.0",
+        # naming a fall time that no one had set
+        p = ScenarioParams(**NEVER_WITNESSING)
+        assert optimal_fall_time(p) == OptimalFallTime(0.0, 0.0, False)
+        monkeypatch.setattr(stats, "match_alpha", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match="W1 never goes negative in this scenario"):
+            differential_success_rate(p, [100], 0.01, 100, 0, lambda_trials=100)
 
     def test_rates_grow_with_shots(self):
         rep = differential_success_rate(P350, [100, 2000], alpha=0.01,

@@ -76,9 +76,8 @@ def fresh_array_mle(counts, iterations, setup=SETUP):
 def tomography_counts(rho, per_observable, trials, seed, tag):
     """(trials, 36) counts of ``rho`` from the (seed, tag, N) stream, N =
     ``per_observable`` shots per tomography observable."""
-    return np.concatenate(list(stats._draw_counts(outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES),
-                                                  per_observable, seed, (tag, per_observable),
-                                                  trials)))
+    return stats._draw_counts(outcome_probabilities(rho, TOMOGRAPHY_OBSERVABLES), per_observable,
+                              seed, (tag, per_observable), trials, lambda counts: counts)
 
 
 def hypothesis_counts(per_observable, trials, seed=0, tag=99):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import re
 import signal
 import tracemalloc
 
@@ -17,8 +18,8 @@ from spinwitness.witnesses import (W1_OBSERVABLES, OptimalFallTime,
                                    optimal_fall_time, w0, w1,
                                    w1_expectation_closed_form, w1_threshold,
                                    witness_expectation, witness_scan)
-from conftest import (oracle_kron, random_scenario, random_separable_state, random_state,
-                      traced_peak)
+from conftest import (alive_at_each_call, oracle_kron, random_scenario, random_separable_state,
+                      random_state, traced_peak)
 
 P450_GRAV = ScenarioParams(cp_scale=0.0)
 P350 = ScenarioParams(separation_d=350e-6, dephasing_gamma=0.3)
@@ -219,6 +220,20 @@ class TestOptimalFallTime:
         with pytest.raises(ValueError):
             optimal_fall_time(P350, tau_max=-1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.35e-14])
+    def test_rates_summing_to_at_most_zero_are_named(self, delta):
+        # 1/x and 1/x^7 are convex, so the sum is positive for delta > 0 in
+        # exact arithmetic; at delta = 0 both rates are 0, and at delta/d =
+        # 3e-11 (the first of delta/d = j 10^-k, j = 1..99, k = 6, 7, ...
+        # whose sum is negative) the two rates cancel in floats below zero
+        p = dataclasses.replace(ScenarioParams(), half_split_delta=delta)
+        rates = phase_rates(p)
+        total = rates.omega_lr + rates.omega_rl
+        assert total == 0.0 if delta == 0.0 else total < 0.0
+        named = f"omega_lr={rates.omega_lr!r}, omega_rl={rates.omega_rl!r}) sum to {total!r}"
+        with pytest.raises(ValueError, match=re.escape(named + " <= 0")):
+            optimal_fall_time(p)
+
     @pytest.mark.parametrize("tau_max", [float("nan"), float("inf")])
     def test_non_finite_window_rejected(self, tau_max):
         # used to return tau = expectation = nan with only RuntimeWarnings
@@ -371,6 +386,14 @@ class TestStateBlocks:
         assert [len(b) for b in blocks] == [min(512, n - i) for i in range(0, n, 512)]
         loop = np.array([spin_state(P350, t) for t in taus.ravel()])
         assert np.concatenate(blocks).tobytes() == loop.tobytes()
+
+
+    def test_scan_drops_each_block_before_building_the_next(self, monkeypatch):
+        # a zip of block offsets and state blocks held the last block while
+        # spin_state built the next one
+        alive = alive_at_each_call(monkeypatch, witnesses, "spin_state")
+        witness_expectation(P350, np.linspace(0.0, 30.0, 1500), w1())
+        assert alive == [0, 0, 0]
 
 
 class TestScan:
