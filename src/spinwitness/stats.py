@@ -315,6 +315,9 @@ def distinction_success_rate(p: ScenarioParams, observables, shots_per_observabl
     tau = optimal_fall_time(p).tau
     p_a = outcome_probabilities(spin_state(p.with_hypothesis(True), tau), observables)
     p_0 = outcome_probabilities(spin_state(p.with_hypothesis(False), tau), observables)
+    if p_a == p_0:
+        raise ValueError(f"the hypotheses give equal outcome probabilities at the optimal W1 "
+                         f"fall time tau = {tau!r} s: no test can tell them apart in {p!r}")
     p_data = p_a if data_from == "alt" else p_0
     return success_rate_curve(p_data, p_a, p_0, shots_per_observable, alpha, trials,
                               seed, lambda_trials)

@@ -21,24 +21,24 @@ __all__ = [
 TOMOGRAPHY_OBSERVABLES = tuple((a, b) for a in "XYZ" for b in "XYZ")
 
 
-def _r_stack(rho, counts, total, setup: MeasurementSetup, coords, probs, out) -> np.ndarray:
+def _r_stack(rho, freq, total, setup: MeasurementSetup, columns, coords, probs, out) -> np.ndarray:
     """Real form of R per real-form state of a (trials, 8, 8) stack, against its
-    row of counts, written into ``out`` (trials, 8, 8) and returned. ``coords``
-    (trials, 8, 4) and ``probs`` (trials, n_observables, 4) are work arrays. A
+    row of frequencies n / total, written into ``out`` (trials, 8, 8) and
+    returned. ``columns`` is the C-contiguous (32, 4 * n_obs) probability matrix,
+    ``coords`` (trials, 8, 4) and ``probs`` (trials, 4 * n_obs) work arrays. A
     counted outcome with probability <= 0 raises; an uncounted one weighs 0."""
     np.copyto(coords, rho[:, :, :4])
-    np.matmul(coords.reshape(len(coords), 32), setup._blocks, out=probs.transpose(1, 0, 2))
-    probs = probs.reshape(len(probs), -1)
-    if probs.min() <= 0.0:
-        dead = np.argwhere((counts > 0) & (probs <= 0.0))
+    np.matmul(coords.reshape(len(coords), 32), columns, out=probs)
+    if (low := probs.min()) <= 0.0:
+        dead = np.argwhere((freq > 0) & (probs <= 0.0))
         if len(dead):
             t, i = dead[0]
             raise ZeroDivisionError(
-                f"trial {t}: projector {i} (observable {setup.observables[i // 4]}, "
-                f"outcome {i % 4}) has zero probability but {int(counts[t, i])} counts")
-    np.maximum(probs, 1e-300, out=probs)
-    np.multiply(total[:, None], probs, out=probs)
-    np.divide(counts, probs, out=probs)  # counts / (total * max(p, 1e-300))
+                f"trial {t}: projector {i} (observable {setup.observables[i // 4]}, outcome "
+                f"{i % 4}) has zero probability but {round(freq[t, i] * total[t])} counts")
+    if low < 1e-300:
+        np.maximum(probs, 1e-300, out=probs)
+    np.divide(freq, probs, out=probs)  # freq / max(p, 1e-300)
     np.matmul(probs, setup._forms, out=out.reshape(len(out), 64))
     return out
 
@@ -52,21 +52,23 @@ def mle_reconstruct(counts, setup: MeasurementSetup, iterations: int = 100) -> n
     into work arrays allocated once per call."""
     if not _is_count(iterations):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
-    counts = _count_rows(counts, len(setup.projectors))
-    trials = len(counts)
+    freq = _count_rows(counts, len(setup.projectors))  # a float copy, divided in place
+    trials = len(freq)
     if trials == 0:
         return np.empty((0, 4, 4), dtype=complex)
     if trials == 1:
-        counts = counts.repeat(2, 0)  # two rows keep the products on gemm, not gemv
-    b = len(counts)
-    total = counts.sum(axis=1)
+        freq = freq.repeat(2, 0)  # two rows keep the products on gemm, not gemv
+    b = len(freq)
+    total = freq.sum(axis=1)
+    freq /= total[:, None]
+    columns = np.concatenate(setup._blocks, axis=1)
     rho = np.broadcast_to(np.eye(8) / 4, (b, 8, 8)).copy()
     tmp = np.empty_like(rho)  # the two iterate buffers alternate
     R = np.empty_like(rho)
-    probs = np.empty((b, len(setup.observables), 4))
+    probs = np.empty_like(freq)
     for _ in range(iterations):
         # the idle buffer's first 32 entries per state hold [Re rho, Im rho]
-        _r_stack(rho, counts, total, setup, tmp.reshape(b, 2, 8, 4)[:, 0], probs, R)
+        _r_stack(rho, freq, total, setup, columns, tmp.reshape(b, 2, 8, 4)[:, 0], probs, R)
         np.matmul(R, rho, out=tmp)
         np.matmul(tmp, R, out=rho)
         np.add(rho, rho.swapaxes(-1, -2), out=tmp)  # twice the symmetric part

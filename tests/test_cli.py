@@ -442,6 +442,17 @@ class TestErrors:
         assert "W1 never goes negative in this scenario" in err and "tau must" not in err
         assert not any(out.iterdir())
 
+    def test_success_with_coinciding_hypotheses_exits_2(self, tmp_path, capsys):
+        # at tau* = 0 the control used to write a false-positive rate of 1
+        cfg = write_config(tmp_path, {"scenario": {"dephasing_gamma": 1e6}, "success": {
+            "shots_per_observable": [50], "trials": 100, "lambda_trials": 100,
+            "control": True}})
+        out = tmp_path / "x"
+        assert run(["success", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "equal outcome probabilities" in err and "tau = 0.0 s" in err
+        assert not any(out.iterdir())
+
     def test_infinite_separation_exits_2(self, tmp_path):
         cfg = tmp_path / "inf.json"
         cfg.write_text('{"scenario": {"separation_d": Infinity}}')

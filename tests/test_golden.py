@@ -56,7 +56,7 @@ GOLDEN = {
     },
     "loophole": {
         "loophole.json":
-            "4c12a378e2473e81b455da3d2b8bc4cebca10b05ae4e11c32fdde5ed9d249dbe",
+            "cb3e5c136a750631b1d5686289603df52c9a01383a2919f091fa3023f88fb303",
     },
     "pea": {
         "pea.csv":
@@ -88,9 +88,9 @@ GOLDEN = {
     },
     "tomo": {
         "tomo_batch_alt.csv":
-            "79180d9b119b45d79d6157c6a1b268dbbbddfcbc886ec4b45a3c49138c5c3502",
+            "d48061d89e9913a5a824a5289f77b7f9071545d8980bcf60e80d526435127439",
         "tomo_batch_null.csv":
-            "93c8bd8d3f8ac6eae3d31fd58920660faa6e8c389c81f7b8b763c49deb93704f",
+            "93b140b578bda387ad483705fe39cd35a0b3e3dd9d542b2bc314f56e8b2e570d",
         "tomo_exceedance.csv":
             "d4895b7d4690b2c38604232981d5f299199f652a836e93b524276366e9598f97",
     },
@@ -111,7 +111,7 @@ LOOPHOLE_BENCHMARK_CONFIG = {
 }
 LOOPHOLE_BENCHMARK_GOLDEN = {
     "loophole.json":
-        "dfdb2adf9fcde87548a9c58f9e555b9a1f674962942f8e402536785ebb4c21fa",
+        "a2c74a8782120b765ab6b284f23f5954111791955a989082d99bfbec01679be0",
 }
 #: at seed 0 the incumbent comes from restart 0, so that digest guards only
 #: the first restarts; at seed 33 it comes from restart 11 (the output stops

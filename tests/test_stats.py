@@ -783,6 +783,20 @@ class TestSuccessRates:
             distinction_success_rate(P450, W1_OBSERVABLES, [10], 0.01, 200, 0,
                                      lambda_trials=1000, data_from="both")
 
+    @pytest.mark.parametrize("data_from", ["alt", "null"])
+    def test_coinciding_hypotheses_raise_naming_scenario_and_tau(self, data_from,
+                                                                 monkeypatch):
+        # W1 never goes negative at gamma = 1e6, so tau* = 0, where both
+        # hypotheses are the initial state: every lambda was 0, and the null
+        # control reported a false-positive rate of 1 at every N
+        p = ScenarioParams(dephasing_gamma=1e6)
+        assert optimal_fall_time(p) == OptimalFallTime(0.0, 0.0, False)
+        monkeypatch.setattr(stats, "success_rate_curve", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match=r"equal outcome probabilities .*tau = 0\.0 s.*"
+                                             r"ScenarioParams\(.*dephasing_gamma=1000000\.0"):
+            distinction_success_rate(p, W1_OBSERVABLES, [10, 100], 0.01, 200, 0,
+                                     lambda_trials=1000, data_from=data_from)
+
 
 class TestWitnessNegativeProbability:
     def test_symmetric_at_tau_zero(self):

@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinwitness import stats, tomography
+from spinwitness import qstate, stats, tomography
 from spinwitness.loophole import state_neg_log_likelihood
 from spinwitness.model import ScenarioParams, spin_state
 from spinwitness.qstate import MeasurementSetup, check_density_matrix, fidelity, negativity
@@ -36,10 +36,9 @@ def r_stack(rho, counts, setup=SETUP):
     total = counts.sum(axis=1)
     a, b = np.reshape(rho, (-1, 4, 4)).real, np.reshape(rho, (-1, 4, 4)).imag
     trials = len(counts)
-    r = tomography._r_stack(np.block([[a, -b], [b, a]]), counts, total, setup,
-                            np.empty((trials, 8, 4)),
-                            np.empty((trials, len(setup.observables), 4)),
-                            np.empty((trials, 8, 8)))
+    r = tomography._r_stack(np.block([[a, -b], [b, a]]), counts / total[:, None], total, setup,
+                            np.concatenate(setup._blocks, axis=1), np.empty((trials, 8, 4)),
+                            np.empty((trials, len(setup.projectors))), np.empty((trials, 8, 8)))
     return r[:, :4, :4] + 1j * r[:, 4:, :4]
 
 
@@ -60,13 +59,16 @@ def complex_rrr(counts, iterations, setup=SETUP):
 
 def fresh_array_mle(counts, iterations, setup=SETUP):
     """The real-form MLE with a fresh array for every operation: the
-    arithmetic that the MLE's reused work arrays must keep bit for bit."""
+    arithmetic that the MLE's reused work arrays must keep bit for bit. The
+    probabilities are one product with the (32, 4 * n_observables) matrix of
+    the setup's blocks, and the weights are freq / max(p, 1e-300)."""
     counts = stats._count_rows(counts, len(setup.projectors))
-    total = counts.sum(axis=1)
+    freq = counts / counts.sum(axis=1)[:, None]
+    columns = np.concatenate(setup._blocks, axis=1)
     rho = np.broadcast_to(np.eye(8) / 4, (len(counts), 8, 8)).copy()
     for _ in range(iterations):
-        probs = setup.probabilities(rho[:, :4, :4] + 1j * rho[:, 4:, :4])
-        R = setup._real_operator(counts / (total[:, None] * np.maximum(probs, 1e-300)))
+        probs = qstate._matmul_rows(rho[:, :, :4].reshape(len(rho), 32), columns)
+        R = setup._real_operator(freq / np.maximum(probs, 1e-300))
         rho = R @ rho @ R
         rho = rho + rho.swapaxes(-1, -2)
         rho *= (2 / np.einsum("bii->b", rho))[:, None, None]
@@ -214,6 +216,20 @@ class TestMLE:
         stack = mle_reconstruct(counts[:size], SETUP)
         assert stack.tobytes() == singles[:size].tobytes()
 
+    def test_slices_at_any_offset_keep_the_rows_of_the_whole_stack(self):
+        # the CLI reconstructs 1,000 trials as blocks of 512 and 488 rows. A
+        # row's bits must not depend on where its slice starts or stops: with
+        # a transposed view of the probability matrix they do
+        counts = np.concatenate([c for n in (1, 10, 100, 1000)
+                                 for c in hypothesis_counts(n, 125, seed=2)])
+        whole = mle_reconstruct(counts, SETUP)
+        rng = np.random.default_rng(11)
+        cuts = [(0, 512), (512, 1000)] + [tuple(np.sort(rng.choice(1001, 2, replace=False)))
+                                          for _ in range(30)]
+        for start, stop in cuts:
+            assert mle_reconstruct(counts[start:stop], SETUP).tobytes() \
+                == whole[start:stop].tobytes(), (start, stop)
+
     @pytest.mark.parametrize("iterations", [1, 100])
     def test_work_arrays_keep_the_bits_of_fresh_arrays(self, iterations, single_rows):
         counts, _ = single_rows
@@ -271,6 +287,18 @@ class TestMLE:
         rho[:, 0, 0] = 1.0
         with pytest.raises(ZeroDivisionError, match=r"trial 3: .*'Z', 'Z'.*outcome 2"):
             r_stack(rho, counts.reshape(5, 36))
+
+    @pytest.mark.parametrize("dead", [1, 7, 999_979])
+    def test_zero_probability_error_names_the_integer_count(self, dead):
+        # R is computed from the frequencies n / |n|_1; the message reads the
+        # count back from them
+        counts = np.zeros((9, 4), dtype=np.int64)
+        counts[:, 0] = 999_983
+        counts[8] = [999_983 - dead, 0, dead, 0]
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        with pytest.raises(ZeroDivisionError, match=rf"zero probability but {dead} counts$"):
+            r_stack(rho, counts.reshape(1, 36))
 
     def test_uncounted_zero_probability_weighs_nothing(self):
         rho = np.zeros((4, 4), dtype=complex)
